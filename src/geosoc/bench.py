@@ -13,22 +13,14 @@ from dataclasses import dataclass
 from itertools import product
 import numpy as np
 
-from .approx import find_gasc
-from .baseline import CliqueBudgetExceeded, clique_clusters
+from .baseline import CliqueBudgetExceeded
 from .datagen import Distribution, GenSpec, generate
-from .gsc import ComparisonStats, PruneLevel, global_spatial_clusters
+from .framework import PRUNE_OF, DetectionConfig, SpatialAlgo, spatial_clusters
+from .gsc import ComparisonStats
 from .io import load_locations
-from .model import GeoPoint
+from .model import GeoPoint, Params
 
 CSV_HEADER = "algo,dataset,n,density,d,k,seconds,comparisons,clusters,status"
-
-ALGO_LABELS = ("exact", "exact-r1", "exact-r12", "approx", "clique")
-
-_PRUNE_BY_LABEL = {
-    "exact": PruneLevel.NONE,
-    "exact-r1": PruneLevel.RULE1,
-    "exact-r12": PruneLevel.RULE1_2,
-}
 
 
 @dataclass(frozen=True)
@@ -83,8 +75,9 @@ class BenchConfig:
     clique_budget: int | None = 5_000_000
 
     def __post_init__(self) -> None:
+        labels = {a.value for a in SpatialAlgo}
         for algo in self.algos:
-            if algo not in ALGO_LABELS:
+            if algo not in labels:
                 raise ValueError(f"unknown algorithm label {algo!r}")
         if self.locations is None and not self.ns:
             raise ValueError("synthetic sweeps need at least one n")
@@ -109,20 +102,13 @@ def _cell_points(cell: BenchCell) -> list[GeoPoint]:
 
 def _execute(cell: BenchCell, clique_budget: int | None):
     points = _cell_points(cell)
-    n = len(points)
+    cfg = DetectionConfig(Params(cell.d, cell.k), SpatialAlgo(cell.algo), clique_budget)
+    stats = ComparisonStats()
     start = time.perf_counter()
-    comparisons: int | None = None
-    if cell.algo in _PRUNE_BY_LABEL:
-        stats = ComparisonStats()
-        clusters = global_spatial_clusters(
-            points, cell.d, k=cell.k, prune_level=_PRUNE_BY_LABEL[cell.algo], stats_out=stats
-        )
-        comparisons = stats.comparisons
-    elif cell.algo == "approx":
-        clusters = find_gasc(points, cell.d, k=cell.k)
-    else:
-        clusters = clique_clusters(points, cell.d, max_cliques=clique_budget)
-    return time.perf_counter() - start, n, len(clusters), comparisons
+    clusters = spatial_clusters(points, cfg, stats_out=stats)
+    seconds = time.perf_counter() - start
+    comparisons = stats.comparisons if cfg.spatial_algo in PRUNE_OF else None
+    return seconds, len(points), len(clusters), comparisons
 
 
 def _child(cell: BenchCell, clique_budget: int | None, conn) -> None:

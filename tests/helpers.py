@@ -11,7 +11,9 @@ from collections import deque
 
 from geosoc.baseline import oracle_gsc
 from geosoc.datagen import Distribution, GenSpec, attach_social_edges, generate
-from geosoc.model import GeoPoint, GeoSocialNetwork, build_network
+from geosoc.framework import DetectionConfig, spatial_clusters
+from geosoc.model import GeoPoint, GeoSocialNetwork, SocialKind, build_network
+from geosoc.social import induced_subgraph, k_core_communities, k_truss_communities
 
 
 def families(items) -> set[tuple[int, ...]]:
@@ -100,12 +102,23 @@ def brute_mcc_family(g: GeoSocialNetwork, d: float, k: int, eps=1e-9) -> set[tup
         inside = set(cluster.members)
         adj = {v: [u for u in g.adjacency[v] if u in inside] for v in cluster.members}
         locals_ |= brute_core_family(adj, k)
-    kept = set()
-    for m in locals_:
-        ms = set(m)
-        if not any(m != o and ms <= set(o) for o in locals_):
-            kept.add(m)
-    return kept
+    return maximal_sets(locals_)
+
+
+def maximal_sets(sets: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """The member tuples not strictly contained in another one."""
+    return {m for m in sets if not any(m != o and set(m) <= set(o) for o in sets)}
+
+
+def unfiltered_mcc_family(g: GeoSocialNetwork, cfg: DetectionConfig) -> set[tuple[int, ...]]:
+    """Detection without the social pre-filter: the engine on every spatial
+    cluster of the whole network, then the subset filter."""
+    p = cfg.params
+    engine = k_core_communities if p.social_kind is SocialKind.CORE else k_truss_communities
+    locals_: set[tuple[int, ...]] = set()
+    for cluster in spatial_clusters(g.points, cfg):
+        locals_ |= families(engine(induced_subgraph(g, cluster.members), p.k))
+    return maximal_sets(locals_)
 
 
 def connected_components(adjacency: dict[int, list[int]], vertices) -> list[list[int]]:

@@ -18,12 +18,14 @@ from geosoc.model import (
     UnknownVertex,
     build_network,
 )
+from geosoc.social import k_core_vertices
 from helpers import (
     EXAMPLE_D,
     brute_mcc_family,
     example_network,
     families,
     random_network,
+    unfiltered_mcc_family,
 )
 
 SQRT2 = math.sqrt(2)
@@ -82,12 +84,33 @@ def test_search_unknown_vertex():
         search_mccs(example_network(), 99, cfg())
 
 
+def _with_boundary_triangles(net, q, d):
+    """net plus two triangles through q: one whose far corner is exactly d
+    from q, one whose far corner is d + 2e-9 away (outside the eps slack)."""
+    qp = net.point(q)
+    assert math.hypot((qp.x + d) - qp.x, 0.0) == d
+    top = max(p.id for p in net.points)
+    extra = [
+        GeoPoint(top + 1, qp.x + d / 2, qp.y + 1.0),
+        GeoPoint(top + 2, qp.x + d, qp.y),
+        GeoPoint(top + 3, qp.x - d / 2, qp.y + 1.0),
+        GeoPoint(top + 4, qp.x - (d + 2e-9), qp.y),
+    ]
+    tri = [(q, top + 1), (top + 1, top + 2), (top + 2, q)]
+    tri += [(q, top + 3), (top + 3, top + 4), (top + 4, q)]
+    return build_network(list(net.points) + extra, list(net.edges()) + tri), top + 2, top + 4
+
+
 def test_search_consistency_with_restricted_detection():
     for seed in range(6):
-        net = random_network(seed, 60)
         d, k = 25.0, 2
-        q = net.points[seed % len(net.points)].id
+        net = random_network(seed, 60)
+        # a query user whose x + d is a float, so a point can sit exactly d away
+        q = next(p.id for p in net.points[seed:] if (p.x + d) - p.x == d)
+        net, at_d, beyond_d = _with_boundary_triangles(net, q, d)
         got = families(search_mccs(net, q, cfg(d=d, k=k)))
+        members = set().union(*got)
+        assert at_d in members and beyond_d not in members
         # independent route: restrict the network by brute-force distance
         # filtering, detect, keep communities containing q
         qp = net.point(q)
@@ -145,15 +168,28 @@ def test_output_mutual_non_containment():
                 assert i == j or not a <= b
 
 
-def test_precluster_neutrality():
-    for seed in range(6):
-        net = random_network(seed + 40, 70)
-        for social, k in ((SocialKind.CORE, 2), (SocialKind.TRUSS, 3)):
-            plain = families(detect_mccs(net, cfg(d=25.0, k=k, social=social)))
-            pruned = families(
-                detect_mccs(net, cfg(d=25.0, k=k, social=social, precluster_by_core=True))
-            )
-            assert plain == pruned
+def test_core_prefilter_neutrality():
+    # detect_mccs drops every vertex outside the k-core ((k-1)-core for a
+    # truss) before the spatial stage; the reference runs on all of them
+    pruned_nonempty = 0  # instances where the filter drops some vertices, not all
+    for seed, m_nearest, n_random in (
+        (40, 1, 35), (42, 1, 35), (41, 1, 70), (42, 2, 35), (43, 2, 70), (44, 3, 17),
+    ):
+        net = random_network(seed, 70, m_nearest=m_nearest, n_random=n_random)
+        for social, k in (
+            (SocialKind.CORE, 2),
+            (SocialKind.CORE, 3),
+            (SocialKind.TRUSS, 3),
+            (SocialKind.TRUSS, 4),
+        ):
+            pre_k = k if social is SocialKind.CORE else k - 1
+            kept = len(k_core_vertices(net, pre_k))
+            for algo in (SpatialAlgo.EXACT_RULE12, SpatialAlgo.APPROX):
+                c = cfg(d=25.0, k=k, social=social, algo=algo)
+                got = families(detect_mccs(net, c))
+                assert got == unfiltered_mcc_family(net, c), (seed, social, k, algo)
+                pruned_nonempty += 0 < kept < len(net.points) and bool(got)
+    assert pruned_nonempty > 0
 
 
 def test_every_exact_community_inside_some_approx_community():

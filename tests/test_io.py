@@ -98,6 +98,42 @@ def test_load_checkins_latest_policy(tmp_path):
     assert pts[0].y == pytest.approx(want_y, rel=1e-12)
 
 
+def _latest_lat(tmp_path, lines):
+    """Latitude the latest policy keeps for user 1, given check-in lines
+    (user, stamp, lat); user 2 at latitude 0 anchors the centroid."""
+    path = tmp_path / "c.tsv"
+    path.write_text("".join(f"{u}\t{t}\t{lat}\t0\n" for u, t, lat in lines) + "2\t0\t0\t0\n")
+    p1 = load_checkins(path, CheckinPolicy.LATEST)[0]
+    # y1 = R * (lat1 - lat0) with lat0 = lat1 / 2
+    return 2 * math.degrees(p1.y / EARTH_RADIUS_M)
+
+
+def test_load_checkins_latest_compares_epoch_seconds_as_numbers(tmp_path):
+    # as strings "999" > "1000"
+    assert _latest_lat(tmp_path, [(1, "1000", 10.0), (1, "999", 20.0)]) == pytest.approx(10.0)
+    assert _latest_lat(tmp_path, [(1, "999", 20.0), (1, "1000.5", 10.0)]) == pytest.approx(10.0)
+
+
+def test_load_checkins_latest_compares_instants_across_offsets(tmp_path):
+    # 2010-10-20T01:00:00+02:00 is 2010-10-19T23:00:00Z, before 23:55:27Z
+    lines = [(1, "2010-10-19T23:55:27Z", 10.0), (1, "2010-10-20T01:00:00+02:00", 20.0)]
+    assert _latest_lat(tmp_path, lines) == pytest.approx(10.0)
+    # a stamp without an offset is UTC; the same instant twice: the later line wins
+    lines = [(1, "2010-10-19T23:55:27", 20.0), (1, "2010-10-20T01:55:27+02:00", 10.0)]
+    assert _latest_lat(tmp_path, lines) == pytest.approx(10.0)
+    # epoch seconds and ISO-8601 in one file
+    lines = [(1, "1287532528", 10.0), (1, "2010-10-19T23:55:27Z", 20.0)]
+    assert _latest_lat(tmp_path, lines) == pytest.approx(10.0)
+
+
+def test_load_checkins_unparseable_stamp(tmp_path):
+    path = tmp_path / "c.tsv"
+    path.write_text("1\t2010-10-19T23:55:27Z\t0\t0\n1\tyesterday\t1\t1\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_checkins(path, CheckinPolicy.LATEST)
+    assert err.value.line_no == 2
+
+
 def test_load_checkins_mean_policy(tmp_path):
     path = tmp_path / "c.tsv"
     path.write_text(

@@ -10,6 +10,7 @@ from geosoc.social import (
     core_numbers,
     induced_subgraph,
     k_core_communities,
+    k_core_vertices,
     k_truss_communities,
     k_truss_edges,
 )
@@ -116,11 +117,14 @@ def test_core_union_matches_core_numbers():
     for _ in range(40):
         g = _random_graph(rng, int(rng.integers(2, 40)), float(rng.uniform(0.05, 0.4)))
         cores = core_numbers(g)
-        for k in (1, 2, 3):
+        # the last k is above the maximum core, where the core is empty
+        for k in (1, 2, 3, max(cores.values()) + 1):
+            want = {v for v, cv in cores.items() if cv >= k}
             union = set()
             for c in k_core_communities(g, k):
                 union |= set(c.members)
-            assert union == {v for v, cv in cores.items() if cv >= k}
+            assert union == want
+            assert k_core_vertices(g, k) == want
 
 
 def test_truss_nesting():
