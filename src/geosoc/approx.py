@@ -3,20 +3,25 @@ axis-aligned square of side d.
 
 Every covering square can be slid so its left edge touches the leftmost
 covered point, so processing points by ascending x and sweeping a height-d
-window over each point's right-hand slab finds every candidate.  A label
-registry over already-emitted clusters answers containment by looking at
-just three extreme members, which keeps the global filter near-linear.
+window over each point's right-hand slab finds every candidate.  The
+slabs come from one bulk range query and their windows are stabbed as
+whole arrays; a label registry over already-emitted clusters then answers
+containment by looking at just three extreme members, which keeps the
+global filter near-linear.
 Output clusters have diameter at most sqrt(2) * d.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .intervals import maximal_stabbing_groups
+import numpy as np
+
 from .model import DEFAULT_EPS, ClusterKind, GeoPoint, SpatialCluster
 from .spatial_index import build_grid, range_query_rect
+from .sweep_exact import spans as _spans
 
 _NO_LABELS: frozenset[int] = frozenset()
 
@@ -48,23 +53,38 @@ class GascRegistry:
         return self.node_gasc.get(pid, _NO_LABELS)
 
 
-def _window_groups(p: GeoPoint, slab: Sequence[GeoPoint], d: float, eps: float):
-    """Stabbing groups of top-edge windows, as tuples of slab indices.
+def _windows(py, qy, d: float, eps: float):
+    """Top-edge windows [t_lo, t_hi] of slab points at heights qy.
 
     Point q is covered by the square with top edge t while t is in
     [q.y, q.y + d], clipped to [p.y, p.y + d] so p stays on the left edge.
     """
-    py = p.y
-    spans: list[tuple[float, float]] = []
-    keep: list[GeoPoint] = []
-    for q in slab:
-        qy = q.y
-        lo = (qy if qy > py else py) - eps
-        hi = (qy if qy < py else py) + d + eps
-        if lo <= hi:
-            spans.append((lo, hi))
-            keep.append(q)
-    return maximal_stabbing_groups(spans), keep
+    return np.where(qy > py, qy, py) - eps, np.where(qy < py, qy, py) + d + eps
+
+
+def _stab(row: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray, k: int = 1):
+    """The maximal stabbing groups of size >= k of each row's windows.
+
+    Ordering a row's window bounds by value, starts before ends at a tie,
+    a maximal group sits wherever a start is directly followed by an end,
+    and holds the windows that contain that end; so a row's groups come
+    by ascending end.  rows must ascend.  Returns the row of each group,
+    and per member of a group (group by group) the group and the window.
+    """
+    m = len(row)
+    bound = np.concatenate((t_lo, t_hi))
+    is_end = np.arange(2 * m) >= m
+    events = np.lexsort((is_end, bound, np.concatenate((row, row))))
+    is_end = is_end[events]
+    close = np.flatnonzero(~is_end[:-1] & is_end[1:])
+    close = close[np.cumsum(np.where(is_end, -1, 1))[close] >= k]
+    group_row = row[events[close]]
+    first = np.searchsorted(row, group_row)
+    width = np.searchsorted(row, group_row, side="right") - first
+    window = _spans(first, width)
+    at = np.repeat(bound[events[close + 1]], width)
+    inside = (t_lo[window] <= at) & (at <= t_hi[window])
+    return group_row, np.repeat(np.arange(len(group_row)), width)[inside], window[inside]
 
 
 def local_approx_clusters(
@@ -83,13 +103,13 @@ def local_approx_clusters(
     pts = list(slab)
     if all(q.id != p.id for q in pts):
         pts.append(p)
-    groups, keep = _window_groups(p, pts, d, eps)
-    clusters = [
-        SpatialCluster.from_members(
-            (keep[i].id for i in group), p.id, ClusterKind.APPROX_SQUARE
-        )
-        for group in groups
-    ]
+    t_lo, t_hi = _windows(p.y, np.array([q.y for q in pts], np.float64), d, eps)
+    keep = np.flatnonzero(t_lo <= t_hi)
+    _, group, window = _stab(np.zeros(len(keep), np.int64), t_lo[keep], t_hi[keep])
+    groups: list[list[int]] = [[] for _ in range(int(group.max(initial=-1)) + 1)]
+    for g, i in zip(group.tolist(), keep[window].tolist()):
+        groups[g].append(pts[i].id)
+    clusters = [SpatialCluster.from_members(m, p.id, ClusterKind.APPROX_SQUARE) for m in groups]
     clusters.sort(key=lambda c: c.members)
     return clusters
 
@@ -129,6 +149,79 @@ def _check_extremes(reg: GascRegistry, extremes: tuple[int, int, int]) -> bool:
     return not (common & reg.labels(max_x))
 
 
+_SWEEP_BLOCK = 4096
+
+
+def _global_members(points: Sequence[GeoPoint], d: float, k: int, eps: float):
+    """(members, reference id) of every global cluster of size >= k, in
+    processing order: by x, then y, then id of the reference point.
+
+    Every slab comes from one bulk range query, and the local clusters
+    are found a block of references at a time, which keeps the arrays
+    small; only the label registry walks cluster by cluster.
+    """
+    if d <= 0:
+        raise ValueError("distance threshold d must be positive")
+    grid = build_grid(points, d)
+    pts = grid.point_map.values()
+    n = len(grid.point_map)
+    xs = np.fromiter((p.x for p in pts), np.float64, n)
+    ys = np.fromiter((p.y for p in pts), np.float64, n)
+    ids = np.fromiter((p.id for p in pts), np.int64, n)
+    order = np.lexsort((ids, ys, xs))
+    xs, ys, ids = xs[order], ys[order], ids[order]
+    offsets, slab = range_query_rect(grid, xs, xs + d, ys - d, ys + d, eps)
+    position = np.empty(n, np.int64)
+    position[order] = np.arange(n)
+    # places by (y, id), (-y, id), (-x, id) and id, for the extremes and
+    # the member order
+    ranked = [np.lexsort(key) for key in ((ids, ys), (ids, -ys), (ids, -xs), (ids,))]
+    ranks = [np.empty(n, np.int64) for _ in ranked]
+    for rank, by in zip(ranks, ranked):
+        rank[by] = np.arange(n)
+    x_of, id_of = xs.tolist(), ids.tolist()
+    reg = GascRegistry(grid.point_map)
+    stale = 0
+    epoch_x: float | None = None
+    same_x: list[tuple[int, ...]] = []
+    for first in range(0, n, _SWEEP_BLOCK):
+        last = min(first + _SWEEP_BLOCK, n)
+        row = np.repeat(np.arange(first, last), np.diff(offsets[first : last + 1]))
+        near = position[slab[offsets[first] : offsets[last]]]
+        t_lo, t_hi = _windows(ys[row], ys[near], d, eps)
+        ok = t_lo <= t_hi
+        refs, group, window = _stab(row[ok], t_lo[ok], t_hi[ok], k)
+        member = near[ok][window]
+        member = member[np.argsort(group * n + ranks[3][member])]
+        starts = np.searchsorted(group, np.arange(len(refs) + 1))
+        lowest, highest, rightmost = (
+            ids[by[np.minimum.reduceat(rank[member], starts[:-1])]].tolist() if len(refs) else []
+            for rank, by in zip(ranks[:3], ranked)
+        )
+        flat, starts = ids[member].tolist(), starts.tolist()
+        for g, r in enumerate(refs.tolist()):
+            x = x_of[r]
+            if epoch_x != x:
+                epoch_x, same_x = x, []
+                # a point left of this slab is in no later group, so its
+                # labels are never asked for again
+                while stale < r and x_of[stale] < x - eps:
+                    reg.node_gasc.pop(id_of[stale], None)
+                    stale += 1
+            if not _check_extremes(reg, (lowest[g], highest[g], rightmost[g])):
+                continue
+            members = tuple(flat[starts[g] : starts[g + 1]])
+            # references sharing one x lack the strict left-to-right order;
+            # fall back to direct comparison within the current x epoch
+            if same_x:
+                mset = frozenset(members)
+                if any(mset.issubset(other) for other in same_x):
+                    continue
+            same_x.append(members)
+            reg.register_members(members)
+            yield members, id_of[r]
+
+
 def iter_gasc(
     points: Sequence[GeoPoint],
     d: float,
@@ -140,37 +233,8 @@ def iter_gasc(
     Clusters are yielded as soon as they are known to be global, in
     processing order (ascending x of the reference point).
     """
-    if d <= 0:
-        raise ValueError("distance threshold d must be positive")
-    pts = sorted(points, key=lambda p: (p.x, p.y, p.id))
-    if not pts:
-        return
-    grid = build_grid(pts, d)
-    pmap = grid.point_map
-    reg = GascRegistry(pmap)
-    epoch_x: float | None = None
-    same_x_sets: list[frozenset[int]] = []
-    for p in pts:
-        if epoch_x != p.x:
-            epoch_x, same_x_sets = p.x, []
-        slab_ids = range_query_rect(grid, p.x, p.x + d, p.y - d, p.y + d, eps)
-        slab = [pmap[i] for i in slab_ids]
-        groups, keep = _window_groups(p, slab, d, eps)
-        for group in groups:
-            if len(group) < k:
-                continue
-            member_points = [keep[i] for i in group]
-            if not _check_extremes(reg, _extreme_ids(member_points)):
-                continue
-            members = tuple(sorted(q.id for q in member_points))
-            # references sharing one x lack the strict left-to-right order;
-            # fall back to direct comparison within the current x epoch
-            mset = frozenset(members)
-            if any(mset <= other for other in same_x_sets):
-                continue
-            same_x_sets.append(mset)
-            reg.register_members(members)
-            yield SpatialCluster(members, p.id, ClusterKind.APPROX_SQUARE)
+    for members, ref in _global_members(points, d, k, eps):
+        yield SpatialCluster(members, ref, ClusterKind.APPROX_SQUARE)
 
 
 def find_gasc(
@@ -180,4 +244,15 @@ def find_gasc(
     eps: float = DEFAULT_EPS,
 ) -> list[SpatialCluster]:
     """All maximal square-coverable sets of size >= k (materialised)."""
-    return list(iter_gasc(points, d, k, eps))
+    # no reference cycles are made; a collection while the output grows
+    # would only walk every live object
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        found = list(_global_members(points, d, k, eps))
+    finally:
+        if collecting:
+            gc.enable()
+    return SpatialCluster._canonical_many(
+        [members for members, _ in found], [ref for _, ref in found], ClusterKind.APPROX_SQUARE
+    )

@@ -182,6 +182,54 @@ def _all_disks(idx: GridIndex, radius: float, eps: float) -> Neighbours:
     return Neighbours(ids, sx, sy, by_cell, offsets, other[order], dist[order])
 
 
+def _all_rects(idx: GridIndex, x_lo, x_hi, y_lo, y_hi, eps: float):
+    """Many closed rectangle queries in one pass: every grid cell that
+    meets a rectangle is looked up for all rectangles at once, and the
+    candidates are kept by the same closed test as a single query."""
+    if np.any(x_lo > x_hi) or np.any(y_lo > y_hi):
+        raise EmptyRange("inverted bounds in a rectangle batch")
+    pts = idx.point_map.values()
+    n, m = len(idx.point_map), len(x_lo)
+    xs = np.fromiter((p.x for p in pts), np.float64, n)
+    ys = np.fromiter((p.y for p in pts), np.float64, n)
+    offsets = np.zeros(m + 1, np.int64)
+    if n == 0 or m == 0:
+        return offsets, np.zeros(0, np.int64)
+    x_lo, x_hi, y_lo, y_hi = x_lo - eps, x_hi + eps, y_lo - eps, y_hi + eps
+    cs = idx.cell_size
+    cx, cy = np.floor(xs / cs), np.floor(ys / cs)
+    x_min, y_min, x_max, y_max = cx.min(), cy.min(), cx.max(), cy.max()
+    width = int(y_max - y_min) + 1
+    key = (cx - x_min).astype(np.int64) * width + (cy - y_min).astype(np.int64)
+    by_cell = np.argsort(key, kind="stable")
+    cells, first, count = np.unique(key[by_cell], return_index=True, return_counts=True)
+    # a point inside a rectangle lies in a cell between its corners' cells
+    lo_x = (np.clip(np.floor(x_lo / cs), x_min, x_max) - x_min).astype(np.int64)
+    lo_y = (np.clip(np.floor(y_lo / cs), y_min, y_max) - y_min).astype(np.int64)
+    span_x = (np.clip(np.floor(x_hi / cs), x_min, x_max) - x_min).astype(np.int64) - lo_x + 1
+    span_y = (np.clip(np.floor(y_hi / cs), y_min, y_max) - y_min).astype(np.int64) - lo_y + 1
+    a = np.arange(int(span_x.max()))[None, :, None]
+    b = np.arange(int(span_y.max()))[None, None, :]
+    rows, hits = [], []
+    for lo in range(0, m, _JOIN_BLOCK):
+        hi = min(lo + _JOIN_BLOCK, m)
+        qkey = ((lo_x[lo:hi, None, None] + a) * width + lo_y[lo:hi, None, None] + b).reshape(hi - lo, -1)
+        slot = np.minimum(np.searchsorted(cells, qkey), len(cells) - 1)
+        hit = (cells[slot] == qkey) & (
+            (a < span_x[lo:hi, None, None]) & (b < span_y[lo:hi, None, None])
+        ).reshape(hi - lo, -1)
+        size = np.where(hit, count[slot], 0)
+        row = np.repeat(np.arange(lo, hi), size.sum(axis=1))
+        size = size.ravel()
+        other = by_cell[np.repeat(first[slot].ravel() - (np.cumsum(size) - size), size) + np.arange(len(row))]
+        px, py = xs[other], ys[other]
+        inside = (x_lo[row] <= px) & (px <= x_hi[row]) & (y_lo[row] <= py) & (py <= y_hi[row])
+        rows.append(row[inside])
+        hits.append(other[inside])
+    np.cumsum(np.bincount(np.concatenate(rows), minlength=m), out=offsets[1:])
+    return offsets, np.concatenate(hits)
+
+
 def range_query_disk(
     idx: GridIndex, center: GeoPoint | None, radius: float, eps: float = DEFAULT_EPS
 ):
@@ -216,7 +264,15 @@ def range_query_rect(
     y_hi: float,
     eps: float = DEFAULT_EPS,
 ) -> list[int]:
-    """Ids inside the closed rectangle (eps slack), ascending."""
+    """Ids inside the closed rectangle (eps slack), ascending.
+
+    With array bounds there is one rectangle per entry, all queried at
+    once, and the result is the CSR pair (offsets, hits): row i,
+    ``hits[offsets[i]:offsets[i + 1]]``, holds the positions (in the
+    index's insertion order) of the points inside rectangle i, unordered.
+    """
+    if isinstance(x_lo, np.ndarray):
+        return _all_rects(idx, x_lo, x_hi, y_lo, y_hi, eps)
     if x_lo > x_hi or y_lo > y_hi:
         raise EmptyRange(f"inverted bounds: [{x_lo}, {x_hi}] x [{y_lo}, {y_hi}]")
     if not idx.point_map:

@@ -39,6 +39,14 @@ def test_local_alone():
     assert families(local_approx_clusters(p, [p], 1.0)) == {(0,)}
 
 
+def test_local_windows_touching_without_slack():
+    # q2's window [0, 1] ends where q1's window [1, 1] starts: the square
+    # with top edge 1 covers all three points
+    p = pt(0, 0, 0)
+    slab = [p, pt(1, 0.5, 0.0), pt(2, 0.5, 1.0)]
+    assert [c.members for c in local_approx_clusters(p, slab, 1.0, eps=0.0)] == [(0, 1, 2)]
+
+
 def test_local_every_cluster_contains_reference():
     pts = random_points(3, 50, density=0.02)
     p = pts[7]
@@ -216,6 +224,34 @@ def test_integer_grids_with_exact_ties():
             for i, (x, y) in enumerate(itertools.product(range(w), range(h)))
         ]
         assert families(find_gasc(pts, d)) == families(oracle_gasc(pts, d)), (w, h, d)
+
+
+def test_integer_grids_without_slack():
+    # with eps 0, windows that only touch share their end point exactly
+    import itertools
+
+    for w, h, d in [(3, 3, 1.0), (4, 3, 2.0), (2, 6, 1.0), (5, 2, 3.0)]:
+        pts = [
+            pt(i, float(x), float(y))
+            for i, (x, y) in enumerate(itertools.product(range(w), range(h)))
+        ]
+        got = find_gasc(pts, d, eps=0.0)
+        assert families(got) == families(oracle_gasc(pts, d, eps=0.0)), (w, h, d)
+
+
+def test_references_closer_in_x_than_eps():
+    # a reference within eps to the right of another still sees it in its
+    # slab, so the registry must keep that point's labels
+    import random
+
+    for seed in range(20):
+        rng = random.Random(seed)
+        pts = [
+            pt(i, rng.randint(0, 6) + rng.choice([0.0, 1e-10, 4e-10]), float(rng.randint(0, 6)))
+            for i in range(25)
+        ]
+        for d in (1.0, 2.0):
+            assert families(find_gasc(pts, d)) == families(oracle_gasc(pts, d)), (seed, d)
 
 
 def test_coincident_points():

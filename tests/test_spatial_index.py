@@ -141,3 +141,36 @@ def test_rect_oracle_equivalence(seed, n, cell, x0, w, y0, h):
     idx = build_grid(pts, cell)
     got = range_query_rect(idx, x0, x0 + w, y0, y0 + h)
     assert got == naive_rect(pts, x0, x0 + w, y0, y0 + h)
+
+
+def test_rect_batch_matches_single_queries():
+    import numpy as np
+
+    rng = np.random.default_rng(7)
+    for batch in range(12):
+        n = int(rng.integers(1, 150))
+        pts = random_points(batch + 40, n)
+        if batch % 3 == 0:
+            # integer coordinates put points exactly on rectangle edges
+            pts = [GeoPoint(p.id, float(round(p.x)), float(round(p.y))) for p in pts]
+        idx = build_grid(pts, float(rng.uniform(1, 30)))
+        x_lo = rng.uniform(-20, 100, 60).round(batch % 2 * 3)
+        y_lo = rng.uniform(-20, 100, 60).round(batch % 2 * 3)
+        x_hi = x_lo + rng.uniform(0, 40, 60).round(batch % 2 * 3)
+        y_hi = y_lo + rng.uniform(0, 40, 60).round(batch % 2 * 3)
+        offsets, hits = range_query_rect(idx, x_lo, x_hi, y_lo, y_hi)
+        ids = [p.id for p in idx.point_map.values()]
+        for i in range(60):
+            got = sorted(ids[h] for h in hits[offsets[i] : offsets[i + 1]])
+            assert got == range_query_rect(idx, x_lo[i], x_hi[i], y_lo[i], y_hi[i])
+
+
+def test_rect_batch_edge_cases():
+    import numpy as np
+
+    empty = build_grid([], 1.0)
+    offsets, hits = range_query_rect(empty, np.zeros(2), np.ones(2), np.zeros(2), np.ones(2))
+    assert offsets.tolist() == [0, 0, 0] and len(hits) == 0
+    idx = build_grid([GeoPoint(5, 1.0, 1.0)], 1.0)
+    with pytest.raises(EmptyRange):
+        range_query_rect(idx, np.array([2.0]), np.array([1.0]), np.array([0.0]), np.array([1.0]))
