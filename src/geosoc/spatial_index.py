@@ -99,6 +99,49 @@ class Neighbours:
 _JOIN_BLOCK = 4096
 
 
+@dataclass(frozen=True)
+class _CellRuns:
+    """Points bucketed by grid cell for bulk lookups: ``by_cell`` orders
+    them by cell key (``key``, stable), and occupied cell ``cells[i]``
+    holds the points at ``first[i]:first[i] + count[i]`` of that order."""
+
+    cs: float
+    low: tuple[float, float]
+    high: tuple[float, float]
+    width: int
+    key: np.ndarray
+    by_cell: np.ndarray
+    cells: np.ndarray
+    first: np.ndarray
+    count: np.ndarray
+
+    @classmethod
+    def of(cls, xs: np.ndarray, ys: np.ndarray, cs: float) -> "_CellRuns":
+        cx, cy = np.floor(xs / cs), np.floor(ys / cs)
+        low, high = (cx.min(), cy.min()), (cx.max(), cy.max())
+        width = int(high[1] - low[1]) + 1
+        key = (cx - low[0]).astype(np.int64) * width + (cy - low[1]).astype(np.int64)
+        by_cell = np.argsort(key, kind="stable")
+        key = key[by_cell]
+        return cls(cs, low, high, width, key, by_cell, *np.unique(key, return_index=True, return_counts=True))
+
+    def lookup(self, x_lo, x_hi, y_lo, y_hi):
+        """For each box, every cell key between its corner cells (a point
+        inside the box lies in one of those cells), that key's slot in
+        ``cells``, and whether the cell is occupied."""
+        ranges = []
+        for lo, hi, c0, c1 in ((x_lo, x_hi, self.low[0], self.high[0]), (y_lo, y_hi, self.low[1], self.high[1])):
+            first = (np.clip(np.floor(lo / self.cs), c0, c1) - c0).astype(np.int64)
+            ranges += [first[:, None, None], (np.clip(np.floor(hi / self.cs), c0, c1) - c0).astype(np.int64) - first + 1]
+        lo_x, span_x, lo_y, span_y = ranges
+        a = np.arange(int(span_x.max()))[None, :, None]
+        b = np.arange(int(span_y.max()))[None, None, :]
+        qkey = ((lo_x + a) * self.width + lo_y + b).reshape(len(lo_x), -1)
+        slot = np.minimum(np.searchsorted(self.cells, qkey), len(self.cells) - 1)
+        inside = (a < span_x[:, None, None]) & (b < span_y[:, None, None])
+        return qkey, slot, (self.cells[slot] == qkey) & inside.reshape(len(lo_x), -1)
+
+
 def _all_disks(idx: GridIndex, radius: float, eps: float) -> Neighbours:
     """One bulk join: every grid cell a per-point query would scan (see
     _cells) is looked up for all points at once, and the candidates are
@@ -117,32 +160,16 @@ def _all_disks(idx: GridIndex, radius: float, eps: float) -> Neighbours:
         empty = np.zeros(0, np.int64)
         return Neighbours(ids, xs, ys, empty, np.zeros(1, np.int64), empty, np.zeros(0))
     reach = radius + eps
-    cs = idx.cell_size
-    cx = np.floor(xs / cs)
-    cy = np.floor(ys / cs)
-    x_min, y_min, x_max, y_max = cx.min(), cy.min(), cx.max(), cy.max()
-    width = int(y_max - y_min) + 1
-    key = (cx - x_min).astype(np.int64) * width + (cy - y_min).astype(np.int64)
     # work in cell order, where every cell's points are one run
-    by_cell = np.argsort(key, kind="stable")
-    key = key[by_cell]
+    runs = _CellRuns.of(xs, ys, idx.cell_size)
+    key, by_cell, first, count = runs.key, runs.by_cell, runs.first, runs.count
     sx, sy = xs[by_cell], ys[by_cell]
-    cells, first, count = np.unique(key, return_index=True, return_counts=True)
-    lo_x = (np.maximum(np.floor((sx - reach) / cs), x_min) - x_min).astype(np.int64)
-    lo_y = (np.maximum(np.floor((sy - reach) / cs), y_min) - y_min).astype(np.int64)
-    span_x = (np.minimum(np.floor((sx + reach) / cs), x_max) - x_min).astype(np.int64) - lo_x + 1
-    span_y = (np.minimum(np.floor((sy + reach) / cs), y_max) - y_min).astype(np.int64) - lo_y + 1
-    a = np.arange(int(span_x.max()))[None, :, None]
-    b = np.arange(int(span_y.max()))[None, None, :]
     ones, twos, dists = [], [], []
     for lo in range(0, n, _JOIN_BLOCK):
         # a block of points at a time keeps the candidate arrays small
         hi = min(lo + _JOIN_BLOCK, n)
-        qkey = ((lo_x[lo:hi, None, None] + a) * width + lo_y[lo:hi, None, None] + b).reshape(hi - lo, -1)
-        slot = np.minimum(np.searchsorted(cells, qkey), len(cells) - 1)
-        hit = (cells[slot] == qkey) & (
-            (a < span_x[lo:hi, None, None]) & (b < span_y[lo:hi, None, None])
-        ).reshape(hi - lo, -1)
+        bx, by = sx[lo:hi], sy[lo:hi]
+        qkey, slot, hit = runs.lookup(bx - reach, bx + reach, by - reach, by + reach)
         # later cells whole; in the point's own cell, the points after it
         after = np.arange(lo + 1, hi + 1)[:, None]
         later = hit & (qkey > key[lo:hi, None])
@@ -196,32 +223,16 @@ def _all_rects(idx: GridIndex, x_lo, x_hi, y_lo, y_hi, eps: float):
     if n == 0 or m == 0:
         return offsets, np.zeros(0, np.int64)
     x_lo, x_hi, y_lo, y_hi = x_lo - eps, x_hi + eps, y_lo - eps, y_hi + eps
-    cs = idx.cell_size
-    cx, cy = np.floor(xs / cs), np.floor(ys / cs)
-    x_min, y_min, x_max, y_max = cx.min(), cy.min(), cx.max(), cy.max()
-    width = int(y_max - y_min) + 1
-    key = (cx - x_min).astype(np.int64) * width + (cy - y_min).astype(np.int64)
-    by_cell = np.argsort(key, kind="stable")
-    cells, first, count = np.unique(key[by_cell], return_index=True, return_counts=True)
-    # a point inside a rectangle lies in a cell between its corners' cells
-    lo_x = (np.clip(np.floor(x_lo / cs), x_min, x_max) - x_min).astype(np.int64)
-    lo_y = (np.clip(np.floor(y_lo / cs), y_min, y_max) - y_min).astype(np.int64)
-    span_x = (np.clip(np.floor(x_hi / cs), x_min, x_max) - x_min).astype(np.int64) - lo_x + 1
-    span_y = (np.clip(np.floor(y_hi / cs), y_min, y_max) - y_min).astype(np.int64) - lo_y + 1
-    a = np.arange(int(span_x.max()))[None, :, None]
-    b = np.arange(int(span_y.max()))[None, None, :]
+    runs = _CellRuns.of(xs, ys, idx.cell_size)
     rows, hits = [], []
     for lo in range(0, m, _JOIN_BLOCK):
         hi = min(lo + _JOIN_BLOCK, m)
-        qkey = ((lo_x[lo:hi, None, None] + a) * width + lo_y[lo:hi, None, None] + b).reshape(hi - lo, -1)
-        slot = np.minimum(np.searchsorted(cells, qkey), len(cells) - 1)
-        hit = (cells[slot] == qkey) & (
-            (a < span_x[lo:hi, None, None]) & (b < span_y[lo:hi, None, None])
-        ).reshape(hi - lo, -1)
-        size = np.where(hit, count[slot], 0)
+        _, slot, hit = runs.lookup(x_lo[lo:hi], x_hi[lo:hi], y_lo[lo:hi], y_hi[lo:hi])
+        size = np.where(hit, runs.count[slot], 0)
         row = np.repeat(np.arange(lo, hi), size.sum(axis=1))
         size = size.ravel()
-        other = by_cell[np.repeat(first[slot].ravel() - (np.cumsum(size) - size), size) + np.arange(len(row))]
+        starts = runs.first[slot].ravel() - (np.cumsum(size) - size)
+        other = runs.by_cell[np.repeat(starts, size) + np.arange(len(row))]
         px, py = xs[other], ys[other]
         inside = (x_lo[row] <= px) & (px <= x_hi[row]) & (y_lo[row] <= py) & (py <= y_hi[row])
         rows.append(row[inside])
