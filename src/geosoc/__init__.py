@@ -33,7 +33,6 @@ from .gsc import (
     center_rect,
     find_gsc,
     global_spatial_clusters,
-    rects_intersect,
 )
 from .io import (
     CheckinPolicy,

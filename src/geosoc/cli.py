@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--social", choices=[s.value for s in SocialKind], default="core")
         cmd.add_argument("--algo", choices=[a.value for a in SpatialAlgo], default="exact-r12")
         cmd.add_argument("--precluster", action="store_true",
-                         help="no effect: the core pre-filter always runs")
+                         help="no effect: the social pre-filter always runs")
         cmd.add_argument("--threads", type=int, default=1)
         cmd.add_argument("--clique-budget", type=int, default=5_000_000)
         cmd.add_argument("--out", required=True)

@@ -14,7 +14,13 @@ from .approx import find_gasc
 from .baseline import clique_clusters
 from .gsc import ComparisonStats, PruneLevel, global_spatial_clusters
 from .model import Community, GeoPoint, GeoSocialNetwork, Params, SocialKind, SpatialCluster
-from .social import induced_subgraph, k_core_communities, k_core_vertices, k_truss_communities
+from .social import (
+    induced_subgraph,
+    k_core_communities,
+    k_core_vertices,
+    k_truss_adjacency,
+    k_truss_communities,
+)
 # not called here; the benchmark tracer wraps these names on this module
 from .spatial_index import build_grid, range_query_disk  # noqa: F401
 
@@ -77,38 +83,60 @@ def detect_mccs(
 ) -> list[Community]:
     """All maximal communities satisfying both constraints.
 
-    Every community lies in the k-core, and a k-truss community in the
-    (k-1)-core (each member has k-1 neighbours in it), so the spatial
-    stage runs on that core alone; the result is the same as on all of g.
+    The spatial stage runs on a social pre-filter of g: the k-core for a
+    core query; for a truss query, the endpoints of the global k-truss
+    edges with those edges only.  Every community lies in the k-core, and
+    every truss community is spanned by global truss edges; the truss of a
+    vertex set C is the same in g[C] as in the global truss restricted to
+    C, and every spatial mode is hereditary, so the result is the same as
+    on all of g.
     """
     params = cfg.params
     if params.social_kind is SocialKind.CORE:
-        engine, pre_k = k_core_communities, params.k
+        engine = k_core_communities
+        keep = k_core_vertices(g, params.k)
+        if len(keep) < len(g.points):
+            g = g.subnetwork(keep)
     else:
-        engine, pre_k = k_truss_communities, max(params.k - 1, 1)
-    keep = k_core_vertices(g, pre_k)
-    if len(keep) < len(g.points):
-        g = g.subnetwork(keep)
+        engine = k_truss_communities
+        adj = k_truss_adjacency(g, params.k)
+        pts = tuple(p for p in g.points if p.id in adj)
+        g = GeoSocialNetwork(pts, {p.id: tuple(sorted(adj[p.id])) for p in pts})
     local: list[Community] = []
     for cluster in spatial_clusters(g.points, cfg, threads=threads):
         local.extend(engine(induced_subgraph(g, cluster.members), params.k))
     return find_global_mcc(local)
 
 
+_NONE: frozenset[int] = frozenset()
+
+
 def find_global_mcc(local: Iterable[Community]) -> list[Community]:
-    """Drop every community contained in (or equal to) another."""
+    """Drop every community contained in (or equal to) another.
+
+    Communities are taken largest first, so any container of c is kept
+    before c; c is dropped exactly when the kept communities holding each
+    of its members have one in common.  Of equal member sets the first
+    seen is the one kept.
+    """
     distinct: dict[tuple[int, ...], Community] = {}
     for c in local:
         distinct.setdefault(c.members, c)
     ordered = sorted(distinct.values(), key=lambda c: (-len(c.members), c.members))
     kept: list[Community] = []
-    kept_sets: list[frozenset[int]] = []
+    holders: dict[int, set[int]] = {}  # member id -> positions in kept
     for c in ordered:
-        mset = frozenset(c.members)
-        if any(mset <= other for other in kept_sets):
+        first, *rest = c.members
+        common = holders.get(first, _NONE)
+        for v in rest:
+            if not common:
+                break
+            common = common & holders.get(v, _NONE)
+        if common:
             continue
+        for v in c.members:
+            holders.setdefault(v, set()).add(len(kept))
         kept.append(c)
-        kept_sets.append(mset)
     return sorted(kept, key=lambda c: c.members)
 
 

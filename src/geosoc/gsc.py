@@ -118,16 +118,6 @@ def center_rect(members: Sequence[GeoPoint] | ClusterTable, r: float):
     return CenterRect(max(xs) - r, min(xs) + r, max(ys) - r, min(ys) + r)
 
 
-def rects_intersect(a: CenterRect, b: CenterRect, eps: float = DEFAULT_EPS) -> bool:
-    """Closed rectangle overlap with eps slack."""
-    return (
-        a.x_lo <= b.x_hi + eps
-        and b.x_lo <= a.x_hi + eps
-        and a.y_lo <= b.y_hi + eps
-        and b.y_lo <= a.y_hi + eps
-    )
-
-
 def find_gsc(
     lscs: Iterable[SpatialCluster] | LocalFamilies,
     k: int = 1,

@@ -106,25 +106,30 @@ def _edge(u: int, v: int) -> tuple[int, int]:
 
 
 def k_truss_edges(g: _HasAdjacency, k: int) -> set[tuple[int, int]]:
-    """Edges of the maximal subgraph where every edge closes >= k-2 triangles."""
+    """Edges of the maximal subgraph where every edge closes >= k-2 triangles.
+
+    The peel starts from the (k-1)-core, which holds every such edge: each
+    endpoint has k-1 neighbours over them.
+    """
     if k < 2:
         raise ValueError("truss parameter k must be >= 2")
-    adj = {v: set(ns) for v, ns in g.adjacency.items()}
+    keep = k_core_vertices(g, k - 1)
+    adj = {v: keep.intersection(g.adjacency[v]) for v in keep}
     support: dict[tuple[int, int], int] = {}
-    for u in sorted(adj):
-        for v in adj[u]:
+    for u, nu in adj.items():
+        for v in nu:
             if u < v:
-                support[(u, v)] = len(adj[u] & adj[v])
+                support[(u, v)] = len(nu & adj[v])
     need = k - 2
     alive = set(support)
-    queue = deque(sorted(e for e, s in support.items() if s < need))
+    queue = deque(e for e, s in support.items() if s < need)
     while queue:
         e = queue.popleft()
         if e not in alive:
             continue
         alive.discard(e)
         u, v = e
-        for w in sorted(adj[u] & adj[v]):
+        for w in adj[u] & adj[v]:
             for f in (_edge(u, w), _edge(v, w)):
                 if f in alive:
                     support[f] -= 1
@@ -135,12 +140,17 @@ def k_truss_edges(g: _HasAdjacency, k: int) -> set[tuple[int, int]]:
     return alive
 
 
-def k_truss_communities(g: _HasAdjacency, k: int) -> list[Community]:
-    """Components over surviving truss edges; edge-less vertices drop out."""
-    edges = k_truss_edges(g, k)
+def k_truss_adjacency(g: _HasAdjacency, k: int) -> dict[int, list[int]]:
+    """Each endpoint of a k-truss edge, with its neighbours over those edges."""
     adj: dict[int, list[int]] = {}
-    for u, v in sorted(edges):
+    for u, v in k_truss_edges(g, k):
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
+    return adj
+
+
+def k_truss_communities(g: _HasAdjacency, k: int) -> list[Community]:
+    """Components over surviving truss edges; edge-less vertices drop out."""
+    adj = k_truss_adjacency(g, k)
     comps = _components(adj.keys(), adj)
     return [Community.from_members(c, k, SocialKind.TRUSS) for c in comps]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -451,37 +451,3 @@ def local_spatial_clusters(
         for a, b in zip(fam.offsets[:-1].tolist(), fam.offsets[1:].tolist())
     ]
     return sorted(clusters, key=lambda c: c.members)
-
-
-def circle_center(v: GeoPoint, r: float, theta: float) -> tuple[float, float]:
-    """Center of the covering circle through v at rotation angle theta."""
-    return (v.x + r * math.cos(theta), v.y + r * math.sin(theta))
-
-
-def window_contains(w: AngularInterval, theta: float, tol: float = 1e-12) -> bool:
-    """Closed membership of an angle in a window, modulo full turns."""
-    if w.full_circle:
-        return True
-    for t in (theta - TAU, theta, theta + TAU):
-        if w.start - tol <= t <= w.end + tol:
-            return True
-    return False
-
-
-def witness_angle(
-    v: GeoPoint, members: Sequence[GeoPoint], r: float, eps: float = DEFAULT_EPS
-) -> float | None:
-    """Some rotation angle whose circle covers all members, if one exists.
-
-    If a common angle exists, the boundary of the common arc is a window
-    endpoint, so checking endpoints only is sufficient.
-    """
-    windows = [angular_interval(v, u, r, eps) for u in members if u.id != v.id]
-    windows = [w for w in windows if not w.full_circle]
-    if not windows:
-        return 0.0
-    for w in windows:
-        for theta in (w.start, w.end):
-            if all(window_contains(x, theta) for x in windows):
-                return theta
-    return None

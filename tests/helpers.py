@@ -12,8 +12,16 @@ from collections import deque
 from geosoc.baseline import oracle_gsc
 from geosoc.datagen import Distribution, GenSpec, attach_social_edges, generate
 from geosoc.framework import DetectionConfig, spatial_clusters
-from geosoc.model import GeoPoint, GeoSocialNetwork, SocialKind, build_network
+from geosoc.model import (
+    DEFAULT_EPS,
+    CenterRect,
+    GeoPoint,
+    GeoSocialNetwork,
+    SocialKind,
+    build_network,
+)
 from geosoc.social import induced_subgraph, k_core_communities, k_truss_communities
+from geosoc.sweep_exact import TAU, AngularInterval, angular_interval
 
 
 def families(items) -> set[tuple[int, ...]]:
@@ -32,6 +40,48 @@ def naive_rect(points, x_lo, x_hi, y_lo, y_hi, eps=1e-9) -> list[int]:
         if x_lo - eps <= p.x <= x_hi + eps and y_lo - eps <= p.y <= y_hi + eps
     ]
     return sorted(out)
+
+
+def rects_intersect(a: CenterRect, b: CenterRect, eps: float = DEFAULT_EPS) -> bool:
+    """Closed rectangle overlap with eps slack."""
+    return (
+        a.x_lo <= b.x_hi + eps
+        and b.x_lo <= a.x_hi + eps
+        and a.y_lo <= b.y_hi + eps
+        and b.y_lo <= a.y_hi + eps
+    )
+
+
+def circle_center(v: GeoPoint, r: float, theta: float) -> tuple[float, float]:
+    """Center of the covering circle through v at rotation angle theta."""
+    return (v.x + r * math.cos(theta), v.y + r * math.sin(theta))
+
+
+def window_contains(w: AngularInterval, theta: float, tol: float = 1e-12) -> bool:
+    """Closed membership of an angle in a window, modulo full turns."""
+    if w.full_circle:
+        return True
+    for t in (theta - TAU, theta, theta + TAU):
+        if w.start - tol <= t <= w.end + tol:
+            return True
+    return False
+
+
+def witness_angle(v: GeoPoint, members, r: float, eps: float = DEFAULT_EPS) -> float | None:
+    """Some rotation angle whose circle covers all members, if one exists.
+
+    If a common angle exists, the boundary of the common arc is a window
+    endpoint, so checking endpoints only is sufficient.
+    """
+    windows = [angular_interval(v, u, r, eps) for u in members if u.id != v.id]
+    windows = [w for w in windows if not w.full_circle]
+    if not windows:
+        return 0.0
+    for w in windows:
+        for theta in (w.start, w.end):
+            if all(window_contains(x, theta) for x in windows):
+                return theta
+    return None
 
 
 def random_points(seed, n, density=0.008, gaussian=False) -> list[GeoPoint]:

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geosoc.baseline import min_enclosing_circle
 from geosoc.framework import (
@@ -18,12 +20,13 @@ from geosoc.model import (
     UnknownVertex,
     build_network,
 )
-from geosoc.social import k_core_vertices
+from geosoc.social import k_core_vertices, k_truss_edges
 from helpers import (
     EXAMPLE_D,
     brute_mcc_family,
     example_network,
     families,
+    maximal_sets,
     random_network,
     unfiltered_mcc_family,
 )
@@ -44,6 +47,11 @@ def test_example_network_two_communities(algo):
 def test_example_network_truss():
     got = families(detect_mccs(example_network(), cfg(k=3, social=SocialKind.TRUSS)))
     assert got == {(8, 9, 10, 11)}
+
+
+def test_truss_k1_is_rejected():
+    with pytest.raises(ValueError):
+        detect_mccs(example_network(), cfg(k=1, social=SocialKind.TRUSS))
 
 
 def test_spatially_impossible_instance_is_empty():
@@ -67,6 +75,22 @@ def test_find_global_mcc_single_and_duplicates():
     assert find_global_mcc([one]) == [one]
     assert find_global_mcc([one, com((1, 2, 3))]) == [one]
     assert find_global_mcc([]) == []
+
+
+@settings(max_examples=200)
+@given(
+    sets=st.lists(st.frozensets(st.integers(0, 7), min_size=2, max_size=6), max_size=12),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_find_global_mcc_matches_maximal_sets(sets, rnd):
+    # the sets, a nested copy of each (one member fewer) and repeats of some
+    family = sets + [s - {max(s)} for s in sets if len(s) > 2] + sets[: len(sets) // 2]
+    rnd.shuffle(family)
+    local = [Community.from_members(s, 1, SocialKind.CORE) for s in family]
+    got = find_global_mcc(local)
+    assert [c.members for c in got] == sorted(maximal_sets({c.members for c in local}))
+    for c in got:
+        assert c is next(x for x in local if x.members == c.members)
 
 
 def test_search_from_corner_vertex():
@@ -169,11 +193,14 @@ def test_output_mutual_non_containment():
 
 
 def test_core_prefilter_neutrality():
-    # detect_mccs drops every vertex outside the k-core ((k-1)-core for a
-    # truss) before the spatial stage; the reference runs on all of them
+    # detect_mccs drops every vertex outside the k-core, and for a truss
+    # every edge outside the global k-truss, before the spatial stage; the
+    # reference runs on the whole network
     pruned_nonempty = 0  # instances where the filter drops some vertices, not all
+    edge_dropped = 0  # truss instances that drop an edge between two kept vertices
     for seed, m_nearest, n_random in (
         (40, 1, 35), (42, 1, 35), (41, 1, 70), (42, 2, 35), (43, 2, 70), (44, 3, 17),
+        (45, 4, 17),  # a non-empty 5-truss
     ):
         net = random_network(seed, 70, m_nearest=m_nearest, n_random=n_random)
         for social, k in (
@@ -181,15 +208,23 @@ def test_core_prefilter_neutrality():
             (SocialKind.CORE, 3),
             (SocialKind.TRUSS, 3),
             (SocialKind.TRUSS, 4),
+            (SocialKind.TRUSS, 5),
         ):
-            pre_k = k if social is SocialKind.CORE else k - 1
-            kept = len(k_core_vertices(net, pre_k))
+            if social is SocialKind.CORE:
+                kept = k_core_vertices(net, k)
+            else:
+                truss = k_truss_edges(net, k)
+                kept = {v for e in truss for v in e}
+                edge_dropped += any(
+                    u in kept and v in kept and (u, v) not in truss for u, v in net.edges()
+                )
             for algo in (SpatialAlgo.EXACT_RULE12, SpatialAlgo.APPROX):
                 c = cfg(d=25.0, k=k, social=social, algo=algo)
                 got = families(detect_mccs(net, c))
                 assert got == unfiltered_mcc_family(net, c), (seed, social, k, algo)
-                pruned_nonempty += 0 < kept < len(net.points) and bool(got)
+                pruned_nonempty += 0 < len(kept) < len(net.points) and bool(got)
     assert pruned_nonempty > 0
+    assert edge_dropped > 0
 
 
 def test_every_exact_community_inside_some_approx_community():

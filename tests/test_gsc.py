@@ -14,12 +14,11 @@ from geosoc.gsc import (
     center_rect,
     find_gsc,
     global_spatial_clusters,
-    rects_intersect,
 )
 from geosoc.model import CenterRect, ClusterKind, GeoPoint, SpatialCluster
 from geosoc.spatial_index import build_grid, range_query_disk
 from geosoc.sweep_exact import local_member_families, local_spatial_clusters
-from helpers import families, random_points
+from helpers import families, random_points, rects_intersect
 
 
 def cl(members, rect=None):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -136,6 +137,30 @@ def test_truss_nesting():
             cur = k_truss_edges(g, k)
             assert cur <= prev
             prev = cur
+
+
+@settings(max_examples=150)
+@given(
+    n=st.integers(min_value=4, max_value=12),
+    k=st.integers(min_value=2, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_truss_of_a_subset_is_its_truss_within_the_global_truss(n, k, seed):
+    # T_k(G[C]) = T_k(T_k(G)[C]), what the truss pre-filter of detection
+    # rests on; G is a planted clique plus about one pair in four, and C
+    # keeps about three vertices in four, so in about one case in ten G[C]
+    # has a non-empty truss and also edges the global truss drops
+    rnd = random.Random(seed)
+    clique = {v for v in range(n) if rnd.random() < 0.5}
+    g = graph(n, [
+        (u, v)
+        for u, v in itertools.combinations(range(n), 2)
+        if rnd.random() < 0.25 or {u, v} <= clique
+    ])
+    in_truss = graph(n, sorted(k_truss_edges(g, k)))
+    c = [v for v in range(n) if rnd.random() < 0.75]
+    want = k_truss_edges(induced_subgraph(g, c), k)
+    assert k_truss_edges(induced_subgraph(in_truss, c), k) == want
 
 
 def test_result_invariant_under_relabeling():

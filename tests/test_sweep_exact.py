@@ -5,16 +5,8 @@ import pytest
 
 from geosoc.baseline import oracle_lsc
 from geosoc.model import GeoPoint, euclidean_distance
-from geosoc.sweep_exact import (
-    TAU,
-    TooFar,
-    angular_interval,
-    circle_center,
-    local_spatial_clusters,
-    window_contains,
-    witness_angle,
-)
-from helpers import families
+from geosoc.sweep_exact import TAU, TooFar, angular_interval, local_spatial_clusters
+from helpers import circle_center, families, window_contains, witness_angle
 
 V = GeoPoint(0, 0.0, 0.0)
 
