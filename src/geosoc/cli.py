@@ -90,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[a.value for a in SpatialAlgo if a is not SpatialAlgo.CLIQUE_BASELINE],
         default="exact-r12",
     )
-    spatial.add_argument("--threads", type=int, default=1)
+    spatial.add_argument("--threads", type=int, default=1,
+                         help="no effect: the spatial stage runs in one thread")
     spatial.add_argument("--out", required=True)
     spatial.set_defaults(func=cmd_spatial)
 
@@ -107,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--algo", choices=[a.value for a in SpatialAlgo], default="exact-r12")
         cmd.add_argument("--precluster", action="store_true",
                          help="no effect: the social pre-filter always runs")
-        cmd.add_argument("--threads", type=int, default=1)
+        cmd.add_argument("--threads", type=int, default=1,
+                         help="no effect: detection runs in one thread")
         cmd.add_argument("--clique-budget", type=int, default=5_000_000)
         cmd.add_argument("--out", required=True)
         if name == "search":
@@ -164,7 +166,7 @@ def cmd_spatial(args) -> int:
     points = _load_points(args)
     params = Params(d=args.d, k=args.k)
     cfg = DetectionConfig(params=params, spatial_algo=SpatialAlgo(args.algo))
-    clusters = spatial_clusters(points, cfg, threads=args.threads)
+    clusters = spatial_clusters(points, cfg)
     write_clusters(clusters, {"algo": args.algo, "d": args.d}, args.out)
     print(f"{len(clusters)} spatial clusters -> {args.out}")
     return 0
@@ -177,9 +179,9 @@ def _run_detection(args, query: int | None) -> int:
     params = Params(d=args.d, k=args.k, social_kind=SocialKind(args.social))
     cfg = DetectionConfig(params, SpatialAlgo(args.algo), clique_budget=args.clique_budget)
     if query is None:
-        communities = detect_mccs(network, cfg, threads=args.threads)
+        communities = detect_mccs(network, cfg)
     else:
-        communities = search_mccs(network, query, cfg, threads=args.threads)
+        communities = search_mccs(network, query, cfg)
     meta = {
         "algo": args.algo,
         "d": args.d,

@@ -6,7 +6,6 @@ variant restricts to a query user's neighborhood first.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,8 +20,7 @@ from .social import (
     k_truss_adjacency,
     k_truss_communities,
 )
-# not called here; the benchmark tracer wraps these names on this module
-from .spatial_index import build_grid, range_query_disk  # noqa: F401
+from .spatial_index import build_grid, range_query_disk
 
 
 class SpatialAlgo(enum.Enum):
@@ -60,7 +58,6 @@ class DetectionConfig:
 def spatial_clusters(
     points: Sequence[GeoPoint],
     cfg: DetectionConfig,
-    threads: int = 1,
     stats_out: ComparisonStats | None = None,
 ) -> list[SpatialCluster]:
     """Stage-1 dispatch: spatial clusters per the configured algorithm.
@@ -71,16 +68,14 @@ def spatial_clusters(
     if cfg.spatial_algo in PRUNE_OF:
         return global_spatial_clusters(
             points, p.d, k=p.k, prune_level=PRUNE_OF[cfg.spatial_algo], eps=p.eps,
-            threads=threads, stats_out=stats_out,
+            stats_out=stats_out,
         )
     if cfg.spatial_algo is SpatialAlgo.APPROX:
         return find_gasc(points, p.d, k=p.k, eps=p.eps)
     return clique_clusters(points, p.d, eps=p.eps, max_cliques=cfg.clique_budget)
 
 
-def detect_mccs(
-    g: GeoSocialNetwork, cfg: DetectionConfig, threads: int = 1
-) -> list[Community]:
+def detect_mccs(g: GeoSocialNetwork, cfg: DetectionConfig) -> list[Community]:
     """All maximal communities satisfying both constraints.
 
     The spatial stage runs on a social pre-filter of g: the k-core for a
@@ -103,7 +98,7 @@ def detect_mccs(
         pts = tuple(p for p in g.points if p.id in adj)
         g = GeoSocialNetwork(pts, {p.id: tuple(sorted(adj[p.id])) for p in pts})
     local: list[Community] = []
-    for cluster in spatial_clusters(g.points, cfg, threads=threads):
+    for cluster in spatial_clusters(g.points, cfg):
         local.extend(engine(induced_subgraph(g, cluster.members), params.k))
     return find_global_mcc(local)
 
@@ -140,18 +135,19 @@ def find_global_mcc(local: Iterable[Community]) -> list[Community]:
     return sorted(kept, key=lambda c: c.members)
 
 
-def search_mccs(
-    g: GeoSocialNetwork, q: int, cfg: DetectionConfig, threads: int = 1
-) -> list[Community]:
+def search_mccs(g: GeoSocialNetwork, q: int, cfg: DetectionConfig) -> list[Community]:
     """Communities containing the query user, within distance d of them.
 
-    Detection runs on the closed ball of radius d around q (the test
-    range_query_disk applies); its result is an antichain sorted by
-    members, and so is the part of it that contains q.
+    Detection runs on the closed ball of radius d around q, read from a
+    grid of cell size d that is built once per network and d; its result
+    is an antichain sorted by members, and so is the part of it that
+    contains q.
     """
     params = cfg.params
     qp = g.point(q)
-    reach = params.d + params.eps
-    ball = [p.id for p in g.points if math.hypot(p.x - qp.x, p.y - qp.y) <= reach]
-    mccs = detect_mccs(g.subnetwork(ball), cfg, threads=threads)
+    grid = g.grids.get(params.d)
+    if grid is None:
+        grid = g.grids[params.d] = build_grid(g.points, params.d)
+    ball = range_query_disk(grid, qp, params.d, params.eps)
+    mccs = detect_mccs(g.subnetwork(ball), cfg)
     return [c for c in mccs if q in c.members]

@@ -477,7 +477,6 @@ def global_spatial_clusters(
     k: int = 1,
     prune_level: PruneLevel = PruneLevel.RULE1_2,
     eps: float = DEFAULT_EPS,
-    threads: int = 1,
     stats_out: ComparisonStats | None = None,
 ) -> list[SpatialCluster]:
     """Every maximal set coverable by a circle of diameter d, size >= k.
@@ -487,8 +486,7 @@ def global_spatial_clusters(
     whole-array passes.  Skipping points with fewer than k candidates in
     reach is safe because a size-k cluster puts at least k points within d
     of each of its members.  The prune level only chooses which
-    comparison count stats_out receives.  threads is accepted for
-    compatibility; the passes run in one thread.
+    comparison count stats_out receives.
     """
     if d <= 0:
         raise ValueError("distance threshold d must be positive")

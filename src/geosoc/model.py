@@ -2,7 +2,10 @@
 
 Coordinates live in an abstract planar unit system (meters once a
 geographic input has been projected).  Everything here is immutable after
-construction and safe to share between threads.
+construction and safe to share between threads.  A network's lazily built
+caches (``point_map``, ``positions`` and the spatial ``grids`` a search
+fills) are derived only from its immutable fields, so building one never
+changes what the network means.
 """
 
 from __future__ import annotations
@@ -13,7 +16,10 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from .spatial_index import GridIndex
 
 DEFAULT_EPS = 1e-9
 
@@ -183,6 +189,18 @@ class GeoSocialNetwork:
     def point_map(self) -> dict[int, GeoPoint]:
         return {p.id: p for p in self.points}
 
+    @cached_property
+    def positions(self) -> dict[int, int]:
+        """Id -> index of the point in ``points``."""
+        return {p.id: i for i, p in enumerate(self.points)}
+
+    @cached_property
+    def grids(self) -> dict[float, GridIndex]:
+        """Grids over ``points`` keyed by cell size, filled by the searches
+        that build them; two searches racing may both build one grid, and
+        either copy serves."""
+        return {}
+
     @property
     def ids(self) -> tuple[int, ...]:
         return tuple(p.id for p in self.points)
@@ -211,11 +229,15 @@ class GeoSocialNetwork:
         return [(u, v) for u, ns in sorted(self.adjacency.items()) for v in ns if u < v]
 
     def subnetwork(self, ids: Iterable[int]) -> "GeoSocialNetwork":
+        """The points with these ids, in this network's order, and the edges
+        among them; costs O(|ids| log |ids|) plus their degrees."""
         keep = set(ids)
-        for pid in keep:
-            self.point(pid)
-        pts = tuple(p for p in self.points if p.id in keep)
-        adj = {p.id: tuple(v for v in self.adjacency[p.id] if v in keep) for p in pts}
+        try:
+            at = sorted(map(self.positions.__getitem__, keep))
+        except KeyError as exc:
+            raise UnknownVertex(f"vertex {exc.args[0]} is not in the network") from None
+        pts = tuple(map(self.points.__getitem__, at))
+        adj = {p.id: tuple([v for v in self.adjacency[p.id] if v in keep]) for p in pts}
         return GeoSocialNetwork(pts, adj)
 
 

@@ -152,6 +152,55 @@ def test_search_consistency_with_restricted_detection():
         assert got == want
 
 
+def _detect_on_ball(net, q, c):
+    """Communities holding q, by brute-force distance filtering, then
+    detection on the restricted network."""
+    qp, p = net.point(q), c.params
+    ball = [v.id for v in net.points if math.hypot(v.x - qp.x, v.y - qp.y) <= p.d + p.eps]
+    return [m for m in detect_mccs(net.subnetwork(ball), c) if q in m.members]
+
+
+def test_search_grid_cache_across_d():
+    # one network serves searches at two distances and back; each result
+    # equals a search on a network that has never been searched
+    net = random_network(7, 80, n_random=40)
+    queries = [p.id for p in net.points[::8]]
+    found = 0
+    for d in (25.0, 12.0, 25.0):
+        for q in queries:
+            c = cfg(d=d, k=2)
+            got = search_mccs(net, q, c)
+            assert got == search_mccs(build_network(net.points, net.edges()), q, c), (d, q)
+            found += bool(got)
+    assert found > 0
+    assert {d: grid.cell_size for d, grid in net.grids.items()} == {25.0: 25.0, 12.0: 12.0}
+
+
+def test_search_far_from_origin():
+    # at (+1e6, -1e6) eps = 1e-9 still resolves distances; the grid cells
+    # there must give the same ball as a scan of every point
+    d, shift = 25.0, 1e6
+    for seed in range(4):
+        base = random_network(seed, 60)
+        pts = [GeoPoint(p.id, p.x + shift, p.y - shift) for p in base.points]
+        net = build_network(pts, base.edges())
+        q = next(p.id for p in net.points[seed:] if (p.x + d) - p.x == d)
+        net, at_d, beyond_d = _with_boundary_triangles(net, q, d)
+        # one more triangle through q whose far corner sits inside the eps
+        # slack: d + 5e-10 away, give or take the 1.2e-10 spacing at 1e6
+        qp, top = net.point(q), max(p.id for p in net.points)
+        extra = [GeoPoint(top + 1, qp.x + 1.0, qp.y - d / 2), GeoPoint(top + 2, qp.x, qp.y - (d + 5e-10))]
+        tri = [(q, top + 1), (top + 1, top + 2), (top + 2, q)]
+        net = build_network(list(net.points) + extra, list(net.edges()) + tri)
+        in_slack = top + 2
+        assert d < math.hypot(0.0, net.point(in_slack).y - qp.y) <= d + 1e-9
+        c = cfg(d=d, k=2)
+        members = set().union(*families(search_mccs(net, q, c)))
+        assert at_d in members and in_slack in members and beyond_d not in members
+        for v in [q] + [p.id for p in net.points[::6]]:
+            assert search_mccs(net, v, c) == _detect_on_ball(net, v, c), (seed, v)
+
+
 def test_matches_brute_force_on_random_instances():
     for seed in range(8):
         net = random_network(seed, 50, density=0.01)
@@ -235,10 +284,3 @@ def test_every_exact_community_inside_some_approx_community():
         approx = [set(c.members) for c in detect_mccs(net, cfg(d=25.0, k=2, algo=SpatialAlgo.APPROX))]
         for c in exact:
             assert any(set(c.members) <= a for a in approx), seed
-
-
-def test_threads_do_not_change_detection():
-    net = random_network(61, 80)
-    a = detect_mccs(net, cfg(d=25.0, k=2), threads=1)
-    b = detect_mccs(net, cfg(d=25.0, k=2), threads=4)
-    assert a == b

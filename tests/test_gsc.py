@@ -236,13 +236,6 @@ def test_outputs_are_maximal_against_oracle():
         assert got == ref
 
 
-def test_threads_do_not_change_output():
-    pts = random_points(9, 150)
-    single = global_spatial_clusters(pts, 30.0, threads=1)
-    multi = global_spatial_clusters(pts, 30.0, threads=4)
-    assert single == multi
-
-
 def test_stats_out_is_filled():
     pts = random_points(10, 80)
     stats = ComparisonStats()

@@ -103,6 +103,35 @@ def test_community_size_bounds():
         Community.from_members([1], 2, SocialKind.TRUSS)
 
 
+def _scrambled_network():
+    # ids deliberately out of order in ``points``
+    pts = [GeoPoint(i, float(i % 3), float(i // 3)) for i in (7, 2, 9, 0, 5, 3)]
+    return build_network(pts, [(7, 2), (2, 9), (9, 0), (0, 7), (5, 3), (3, 7), (2, 0)])
+
+
+def test_subnetwork_keeps_parent_order_and_restricts_edges():
+    net = _scrambled_network()
+    for ids in (
+        [0, 5, 7, 2],  # shuffled
+        [2, 0, 2, 7, 5, 0, 5],  # repeated
+        (i for i in (5, 0, 7, 2)),  # a generator
+    ):
+        sub = net.subnetwork(ids)
+        assert sub.ids == (7, 2, 0, 5)
+        assert sub.points == tuple(net.point(i) for i in (7, 2, 0, 5))
+        assert sub.adjacency == {7: (0, 2), 2: (0, 7), 0: (2, 7), 5: ()}
+    assert net.subnetwork([]).points == ()
+    assert net.subnetwork(iter(net.ids)) == net
+
+
+def test_subnetwork_unknown_vertex():
+    net = _scrambled_network()
+    with pytest.raises(UnknownVertex):
+        net.subnetwork([2, 4, 7])
+    with pytest.raises(UnknownVertex):
+        net.subnetwork(i for i in (0, 99))
+
+
 def test_maximal_distinct():
     sets = [frozenset({1, 2, 3}), frozenset({2, 3}), frozenset({4, 5}), frozenset({2, 3})]
     assert set(maximal_distinct(sets)) == {frozenset({1, 2, 3}), frozenset({4, 5})}
