@@ -53,7 +53,7 @@ from .model import (
     GeoSocError,
     SpatialCluster,
 )
-from .spatial_index import build_grid, range_query_disk
+from .spatial_index import argsort_ints, build_grid, range_query_disk
 from .sweep_exact import LocalFamilies, local_member_families
 from .sweep_exact import spans as _spans
 
@@ -98,19 +98,22 @@ def center_rect(members: Sequence[GeoPoint] | ClusterTable, r: float):
     set, in the order x_lo, x_hi, y_lo, y_hi.
     """
     if isinstance(members, ClusterTable):
-        starts = members.offsets[:-1]
-        if np.any(np.diff(members.offsets) == 0):
+        size = np.diff(members.offsets)
+        if np.any(size == 0):
             raise EmptyCluster("cannot build a center rectangle from zero points")
-        if not len(starts):
-            return (np.zeros(0),) * 4
-        xs = members.xs[members.members]
-        ys = members.ys[members.members]
-        return (
-            np.maximum.reduceat(xs, starts) - r,
-            np.minimum.reduceat(xs, starts) + r,
-            np.maximum.reduceat(ys, starts) - r,
-            np.minimum.reduceat(ys, starts) + r,
-        )
+        bounds = np.empty((4, len(size)))
+        # the sets of one size at a time, as a (size, sets) block of member
+        # coordinates: its extremes are whole-array reductions over axis 0
+        by_size = argsort_ints(size)
+        for group in np.split(by_size, np.flatnonzero(np.diff(size[by_size])) + 1) if len(size) else ():
+            at = members.members[members.offsets[group] + np.arange(size[group[0]])[:, None]]
+            for i, coords in ((0, members.xs), (2, members.ys)):
+                block = coords[at]
+                bounds[i, group] = block.max(axis=0)
+                bounds[i + 1, group] = block.min(axis=0)
+        bounds[0::2] -= r
+        bounds[1::2] += r
+        return tuple(bounds)
     if not members:
         raise EmptyCluster("cannot build a center rectangle from zero points")
     xs = [p.x for p in members]
@@ -244,18 +247,22 @@ def _member_sets(fam: LocalFamilies, k: int, keys=_mix):
     Groups come from a hash of the members (keys maps positions to 64-bit
     keys) and are confirmed by comparing the member lists; a group whose
     hash collides is split by the member tuples themselves.  Returns the
-    set of every local cluster (-1 below size k), the local clusters
-    ordered by set, and the start of each set's run in that order.
+    set of every local cluster (-1 below size k), sets numbered in the
+    order of their first local clusters, and which local clusters are
+    their set's first.
     """
     sizes = fam.sizes
     use = np.flatnonzero(sizes >= k)
     if not len(use):
-        return np.full(len(sizes), -1, np.int64), use, use
+        return np.full(len(sizes), -1, np.int64), np.zeros(len(sizes), bool)
     point_key = keys(np.arange(len(fam.nbhd.ids)))
     hashes = np.add.reduceat(point_key[fam.members], fam.offsets[:-1])[use] ^ keys(sizes[use])
-    by_hash = np.argsort(hashes)
-    order = use[by_hash]
-    hashes = hashes[by_hash]
+    # sort by hash with the index in the hash's low bits (a shorter hash
+    # only makes the rare collisions below a little likelier)
+    low = np.uint64((1 << len(use).bit_length()) - 1)
+    hashes = np.sort(hashes & ~low | np.arange(len(use), dtype=np.uint64))
+    order = use[hashes & low]
+    hashes &= ~low
     new = np.ones(len(order), bool)
     new[1:] = hashes[1:] != hashes[:-1]
     head = order[np.maximum.accumulate(np.where(new, np.arange(len(order)), 0))]
@@ -281,36 +288,44 @@ def _member_sets(fam: LocalFamilies, k: int, keys=_mix):
         order, group = order[regroup], group[regroup]
         new = np.ones(len(order), bool)
         new[1:] = group[1:] != group[:-1]
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    is_first = np.zeros(len(sizes), bool)
+    is_first[first] = True
     local_set = np.full(len(sizes), -1, np.int64)
-    local_set[order] = np.cumsum(new) - 1
-    return local_set, order, np.flatnonzero(new)
+    local_set[order] = (np.cumsum(is_first) - 1)[first][np.cumsum(new) - 1]
+    return local_set, is_first
 
 
 def _owner_filter(fam: LocalFamilies, k: int, prune_level: PruneLevel, r: float, eps: float):
     nbhd = fam.nbhd
     n = len(nbhd.ids)
-    local_set, by_set, set_start = _member_sets(fam, k)
-    n_sets = len(set_start)
-    copies = np.diff(np.append(set_start, len(by_set)))
-    # a copy of a set is kept only if the set is local at its successors too
+    local_set, is_first = _member_sets(fam, k)
+    n_sets = int(is_first.sum())
+    copy = np.flatnonzero(local_set >= 0)
+    copy_set = local_set[copy]
+    # a copy of a set is kept only if the set is local at its successors
+    # too: if some copy of it has the successor as its reference
+    where = np.sort(copy_set * n + fam.refs[copy])
     asked = local_set[fam.succ_of]
     live = np.flatnonzero(asked >= 0)
-    asked, succ = asked[live], fam.succ_pos[live]
-    slots = _spans(set_start[asked], copies[asked])
-    found = _run_sums(fam.refs[by_set[slots]] == np.repeat(succ, copies[asked]), copies[asked]) > 0
+    asked = asked[live]
+    query = asked * n + fam.succ_pos[live]
+    found = where[np.minimum(_sorted_search(where, query), len(where) - 1)] == query
     kept = np.ones(n_sets, bool)
     kept[asked[~found]] = False
 
-    set_rep = by_set[set_start]
     # the reference the sequential filter meets first: earliest in the input
-    first_seen = np.minimum.reduceat(nbhd.order[fam.refs[by_set]], set_start) if n_sets else set_start
+    seen = np.sort(copy_set * n + nbhd.order[fam.refs[copy]])
+    copies = np.bincount(copy_set, minlength=n_sets)
     position = np.empty(n, np.int64)
     position[nbhd.order] = np.arange(n)
-    set_ref = position[first_seen]
-    sizes = fam.sizes[set_rep]
+    set_ref = position[seen[np.cumsum(copies) - copies] - np.arange(n_sets) * n]
+    sizes = fam.sizes[is_first]
     offsets = np.zeros(n_sets + 1, np.int64)
     np.cumsum(sizes, out=offsets[1:])
-    table = ClusterTable(nbhd.xs, nbhd.ys, offsets, fam.members[_spans(fam.offsets[set_rep], sizes)])
+    table = ClusterTable(nbhd.xs, nbhd.ys, offsets, fam.members[np.repeat(is_first, fam.sizes)])
+    id_rank = np.empty(n, np.int64)
+    id_rank[argsort_ints(nbhd.ids)] = np.arange(n)
     # The owner check can only err where a successor's share of the
     # boundary shrinks to a point and rounding loses it.  So it is
     # confirmed: a set is kept exactly when no kept set contains it, and
@@ -319,8 +334,8 @@ def _owner_filter(fam: LocalFamilies, k: int, prune_level: PruneLevel, r: float,
     for attempt in range(3):
         chosen, tuples = _member_tuples(np.flatnonzero(kept), table, nbhd.ids)
         # the sequential filter's order: larger sets first, then by members
-        by_members = np.array(sorted(range(len(tuples)), key=tuples.__getitem__), np.int64)
-        place = by_members[np.argsort(-sizes[chosen[by_members]], kind="stable")]
+        by_members = _lex_order(chosen, table, id_rank)
+        place = by_members[argsort_ints(-sizes[chosen[by_members]])]
         count, contained = _comparisons(prune_level, kept, chosen[place], set_ref, table, nbhd, r, eps)
         wrong = contained == kept
         if not wrong.any() or attempt == 2:
@@ -339,7 +354,7 @@ def _owner_filter(fam: LocalFamilies, k: int, prune_level: PruneLevel, r: float,
 def _member_tuples(sets: np.ndarray, table: ClusterTable, ids: np.ndarray):
     """The member id tuples of the given sets, reordered by size; equal-size
     tuples come off one flat list at once."""
-    sets = sets[np.argsort(table.offsets[sets + 1] - table.offsets[sets], kind="stable")]
+    sets = sets[argsort_ints(table.offsets[sets + 1] - table.offsets[sets])]
     size = table.offsets[sets + 1] - table.offsets[sets]
     flat = ids[table.members[_spans(table.offsets[sets], size)]].tolist()
     ends = np.cumsum(size).tolist()
@@ -351,9 +366,31 @@ def _member_tuples(sets: np.ndarray, table: ClusterTable, ids: np.ndarray):
     return sets, tuples
 
 
+def _lex_order(sets: np.ndarray, table: ClusterTable, rank: np.ndarray) -> np.ndarray:
+    """The order sorted() gives the sets' member tuples, where a member's
+    rank orders it as its id does.
+
+    Each set's ranks + 1 are packed, first member highest, into big-endian
+    words, so that comparing the byte strings compares the tuples (a
+    shorter tuple's zero padding sorts before any member).
+    """
+    size = table.offsets[sets + 1] - table.offsets[sets]
+    if not len(sets):
+        return np.zeros(0, np.int64)
+    bits = len(rank).bit_length()
+    per = 64 // bits
+    words = (int(size.max()) + per - 1) // per
+    value = rank[table.members[_spans(table.offsets[sets], size)]].astype(np.uint64) + np.uint64(1)
+    col = np.arange(len(value)) - np.repeat(np.cumsum(size) - size, size)
+    packed = np.zeros(len(sets) * words, np.uint64)
+    word = np.repeat(np.arange(len(sets)) * words, size) + col // per
+    np.bitwise_or.at(packed, word, value << ((per - 1 - col % per) * bits).astype(np.uint64))
+    return np.argsort(packed.astype(">u8").view(f"S{8 * words}"), kind="stable")
+
+
 def _sorted_search(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """np.searchsorted, with the queries visited in ascending order."""
-    order = np.argsort(queries)
+    order = argsort_ints(queries)
     out = np.empty(len(queries), np.int64)
     out[order] = np.searchsorted(keys, queries[order])
     return out
@@ -407,21 +444,33 @@ def _comparisons(prune_level, kept, chosen, set_ref, table, nbhd, r, eps):
     # walk the j-th candidate of every set at once, longest lists first;
     # count the rectangle meetings so far, and note the meeting candidates
     # that hold the set's signature
-    walk = np.argsort((stop.max(initial=0) - stop) * (len(near) + 1) + start)
+    walk = argsort_ints((stop.max(initial=0) - stop) * (len(near) + 1) + start)
     stop, start, mine = stop[walk], start[walk], np.take(mine, walk, axis=0)
     own_sig, own_size = sig[walk], sizes[walk]
     meets = np.zeros(len(walk), np.int64)
     noted = []
     # sets with more than j candidates: a prefix, its length per column
-    widths = np.searchsorted(-stop, -np.arange(int(stop[0]) if len(stop) else 0), side="left").tolist()
-    for j, m in enumerate(widths):
-        pt = near[start[:m] + j]
-        meet = (mine[:m] > np.take(theirs, pt, axis=0)).view(np.uint32).ravel() == 0
+    columns = np.arange(int(stop[0]) if len(stop) else 0)
+    widths = np.searchsorted(-stop, -columns, side="left").tolist()
+    # a set's candidates are a prefix of its reference's list, so each
+    # column is read once per reference; a reference's first set has its
+    # longest prefix, so in that order the active references are a prefix too
+    _, first, ref_of = np.unique(start, return_index=True, return_inverse=True)
+    by_first = argsort_ints(first)
+    rank = np.empty(len(first), np.int64)
+    rank[by_first] = np.arange(len(first))
+    ref_of = rank[ref_of.ravel()]
+    ref_start, ref_stop = start[first[by_first]], stop[first[by_first]]
+    ref_widths = np.searchsorted(-ref_stop, -columns, side="left").tolist()
+    for j, (m, k) in enumerate(zip(widths, ref_widths)):
+        ref_pt = near[ref_start[:k] + j]
+        own = ref_of[:m]
+        meet = (mine[:m] > np.take(np.take(theirs, ref_pt, axis=0), own, axis=0)).view(np.uint32).ravel() == 0
         meets[:m] += meet
         c = np.flatnonzero(meet)
-        t = pt[c]
-        c = c[(own_size[c] < kept_size[t]) & (own_sig[c] & ~kept_sig[t] == 0)]
-        noted.append((c, pt[c], np.full(len(c), j), meets[c]))
+        t = ref_pt[own[c]]
+        fits = (own_size[c] < kept_size[t]) & (own_sig[c] & ~kept_sig[t] == 0)
+        noted.append((c[fits], t[fits], np.full(int(fits.sum()), j), meets[c[fits]]))
     cand, cand_kept, cand_col, cand_meets = (np.concatenate(x) for x in zip(*noted)) if noted else (
         np.zeros(0, np.int64),) * 4
     # a set's first container is its first noted candidate holding every
@@ -441,7 +490,7 @@ def _comparisons(prune_level, kept, chosen, set_ref, table, nbhd, r, eps):
     n_words = int(words.sum())
     bitset = np.bincount(word, np.where(high, 0.0, half), n_words).astype(np.uint64)
     bitset |= np.bincount(word, np.where(high, half, 0.0), n_words).astype(np.uint64) << np.uint64(32)
-    by_set = np.argsort(cand, kind="stable")
+    by_set = argsort_ints(cand)
     cand, cand_kept, cand_col, cand_meets = cand[by_set], cand_kept[by_set], cand_col[by_set], cand_meets[by_set]
     limit = bound[walk]
     admitted = stop.copy()

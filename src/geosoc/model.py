@@ -145,14 +145,15 @@ class SpatialCluster:
         strictly increasing and holding their references (bulk outputs,
         where the per-object checks would cost as much as the clustering)."""
         out = list(map(object.__new__, repeat(cls, len(members))))
-        fill = object.__setattr__
-        for name, values in (
-            ("members", members),
-            ("reference", references),
-            ("kind", repeat(kind, len(out))),
-            ("center_rect", repeat(None, len(out))),
+        # the slot descriptors set the fields directly, past the frozen
+        # __setattr__ and without a lookup by name
+        for slot, values in (
+            (cls.members, members),
+            (cls.reference, references),
+            (cls.kind, repeat(kind, len(out))),
+            (cls.center_rect, repeat(None, len(out))),
         ):
-            deque(map(fill, out, repeat(name), values), maxlen=0)
+            deque(map(slot.__set__, out, values), maxlen=0)
         return out
 
 
