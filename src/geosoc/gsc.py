@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .model import (
     DEFAULT_EPS,
@@ -56,6 +55,11 @@ from .model import (
 from .spatial_index import argsort_ints, build_grid, range_query_disk
 from .sweep_exact import LocalFamilies, local_member_families
 from .sweep_exact import spans as _spans
+
+
+# from this many sets on, bulk center rectangles are reduced per set size
+# (measured crossover with per-set reduceat: about 3,000 sets)
+_BY_SIZE_MIN = 4096
 
 
 class PruneLevel(enum.Enum):
@@ -101,16 +105,25 @@ def center_rect(members: Sequence[GeoPoint] | ClusterTable, r: float):
         size = np.diff(members.offsets)
         if np.any(size == 0):
             raise EmptyCluster("cannot build a center rectangle from zero points")
-        bounds = np.empty((4, len(size)))
-        # the sets of one size at a time, as a (size, sets) block of member
-        # coordinates: its extremes are whole-array reductions over axis 0
-        by_size = argsort_ints(size)
-        for group in np.split(by_size, np.flatnonzero(np.diff(size[by_size])) + 1) if len(size) else ():
-            at = members.members[members.offsets[group] + np.arange(size[group[0]])[:, None]]
-            for i, coords in ((0, members.xs), (2, members.ys)):
-                block = coords[at]
-                bounds[i, group] = block.max(axis=0)
-                bounds[i + 1, group] = block.min(axis=0)
+        if not len(size):
+            return (np.zeros(0),) * 4
+        xs, ys = members.xs, members.ys
+        if len(size) < _BY_SIZE_MIN:
+            starts = members.offsets[:-1]
+            at = members.members
+            reduce = (np.maximum.reduceat, np.minimum.reduceat)
+            bounds = np.array([f(c[at], starts) for c in (xs, ys) for f in reduce])
+        else:
+            # a reduceat pays per set, so take the sets of one size at a time
+            # as a (size, sets) block of member coordinates and reduce over axis 0
+            bounds = np.empty((4, len(size)))
+            by_size = argsort_ints(size)
+            for group in np.split(by_size, np.flatnonzero(np.diff(size[by_size])) + 1):
+                at = members.members[members.offsets[group] + np.arange(size[group[0]])[:, None]]
+                for i, coords in ((0, xs), (2, ys)):
+                    block = coords[at]
+                    bounds[i, group] = block.max(axis=0)
+                    bounds[i + 1, group] = block.min(axis=0)
         bounds[0::2] -= r
         bounds[1::2] += r
         return tuple(bounds)
@@ -324,8 +337,6 @@ def _owner_filter(fam: LocalFamilies, k: int, prune_level: PruneLevel, r: float,
     offsets = np.zeros(n_sets + 1, np.int64)
     np.cumsum(sizes, out=offsets[1:])
     table = ClusterTable(nbhd.xs, nbhd.ys, offsets, fam.members[np.repeat(is_first, fam.sizes)])
-    id_rank = np.empty(n, np.int64)
-    id_rank[argsort_ints(nbhd.ids)] = np.arange(n)
     # The owner check can only err where a successor's share of the
     # boundary shrinks to a point and rounding loses it.  So it is
     # confirmed: a set is kept exactly when no kept set contains it, and
@@ -334,7 +345,7 @@ def _owner_filter(fam: LocalFamilies, k: int, prune_level: PruneLevel, r: float,
     for attempt in range(3):
         chosen, tuples = _member_tuples(np.flatnonzero(kept), table, nbhd.ids)
         # the sequential filter's order: larger sets first, then by members
-        by_members = _lex_order(chosen, table, id_rank)
+        by_members = np.array(sorted(range(len(tuples)), key=tuples.__getitem__), np.int64)
         place = by_members[argsort_ints(-sizes[chosen[by_members]])]
         count, contained = _comparisons(prune_level, kept, chosen[place], set_ref, table, nbhd, r, eps)
         wrong = contained == kept
@@ -366,43 +377,12 @@ def _member_tuples(sets: np.ndarray, table: ClusterTable, ids: np.ndarray):
     return sets, tuples
 
 
-def _lex_order(sets: np.ndarray, table: ClusterTable, rank: np.ndarray) -> np.ndarray:
-    """The order sorted() gives the sets' member tuples, where a member's
-    rank orders it as its id does.
-
-    Each set's ranks + 1 are packed, first member highest, into big-endian
-    words, so that comparing the byte strings compares the tuples (a
-    shorter tuple's zero padding sorts before any member).
-    """
-    size = table.offsets[sets + 1] - table.offsets[sets]
-    if not len(sets):
-        return np.zeros(0, np.int64)
-    bits = len(rank).bit_length()
-    per = 64 // bits
-    words = (int(size.max()) + per - 1) // per
-    value = rank[table.members[_spans(table.offsets[sets], size)]].astype(np.uint64) + np.uint64(1)
-    col = np.arange(len(value)) - np.repeat(np.cumsum(size) - size, size)
-    packed = np.zeros(len(sets) * words, np.uint64)
-    word = np.repeat(np.arange(len(sets)) * words, size) + col // per
-    np.bitwise_or.at(packed, word, value << ((per - 1 - col % per) * bits).astype(np.uint64))
-    return np.argsort(packed.astype(">u8").view(f"S{8 * words}"), kind="stable")
-
-
 def _sorted_search(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """np.searchsorted, with the queries visited in ascending order."""
     order = argsort_ints(queries)
     out = np.empty(len(queries), np.int64)
     out[order] = np.searchsorted(keys, queries[order])
     return out
-
-
-def _by_column(rows: np.ndarray, sizes: np.ndarray, n_cols: int):
-    """Transpose a CSR pattern: row i holds columns rows[...]; returns, per
-    column, the start of its run and the rows holding it, ascending."""
-    indptr = np.zeros(len(sizes) + 1, np.int64)
-    np.cumsum(sizes, out=indptr[1:])
-    pattern = csr_matrix((np.ones(len(rows), np.int8), rows, indptr), shape=(len(sizes), n_cols)).tocsc()
-    return pattern.indptr.astype(np.int64), pattern.indices.astype(np.int64)
 
 
 def _comparisons(prune_level, kept, chosen, set_ref, table, nbhd, r, eps):
@@ -422,11 +402,15 @@ def _comparisons(prune_level, kept, chosen, set_ref, table, nbhd, r, eps):
     kept_size = sizes[chosen]
     place = np.full(len(kept), -1)
     place[chosen] = np.arange(n_kept)
-    # the kept sets referenced within reach of each point, in the filter's order
+    # the kept sets referenced within reach of each point, in the filter's
+    # order: sorted (point, kept set) keys
     kept_ref = set_ref[chosen]
     degree = np.diff(nbhd.offsets)[kept_ref]
-    near_start, near = _by_column(nbhd.nbrs[_spans(nbhd.offsets[kept_ref], degree)], degree, n)
-    near_key = np.repeat(np.arange(n), np.diff(near_start)) * n_kept + near
+    point = nbhd.nbrs[_spans(nbhd.offsets[kept_ref], degree)]
+    near_key = np.sort(point * n_kept + np.repeat(np.arange(n_kept), degree))
+    near_start = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(point, minlength=n), out=near_start[1:])
+    near = near_key - np.repeat(np.arange(n) * n_kept, np.diff(near_start))
     # candidates: the kept sets before a kept set, larger than a dropped one
     bound = np.where(kept, place, np.searchsorted(-kept_size, -sizes, side="left"))
     start = near_start[set_ref]
@@ -450,27 +434,15 @@ def _comparisons(prune_level, kept, chosen, set_ref, table, nbhd, r, eps):
     meets = np.zeros(len(walk), np.int64)
     noted = []
     # sets with more than j candidates: a prefix, its length per column
-    columns = np.arange(int(stop[0]) if len(stop) else 0)
-    widths = np.searchsorted(-stop, -columns, side="left").tolist()
-    # a set's candidates are a prefix of its reference's list, so each
-    # column is read once per reference; a reference's first set has its
-    # longest prefix, so in that order the active references are a prefix too
-    _, first, ref_of = np.unique(start, return_index=True, return_inverse=True)
-    by_first = argsort_ints(first)
-    rank = np.empty(len(first), np.int64)
-    rank[by_first] = np.arange(len(first))
-    ref_of = rank[ref_of.ravel()]
-    ref_start, ref_stop = start[first[by_first]], stop[first[by_first]]
-    ref_widths = np.searchsorted(-ref_stop, -columns, side="left").tolist()
-    for j, (m, k) in enumerate(zip(widths, ref_widths)):
-        ref_pt = near[ref_start[:k] + j]
-        own = ref_of[:m]
-        meet = (mine[:m] > np.take(np.take(theirs, ref_pt, axis=0), own, axis=0)).view(np.uint32).ravel() == 0
+    widths = np.searchsorted(-stop, -np.arange(int(stop[0]) if len(stop) else 0), side="left").tolist()
+    for j, m in enumerate(widths):
+        pt = near[start[:m] + j]
+        meet = (mine[:m] > np.take(theirs, pt, axis=0)).view(np.uint32).ravel() == 0
         meets[:m] += meet
         c = np.flatnonzero(meet)
-        t = ref_pt[own[c]]
-        fits = (own_size[c] < kept_size[t]) & (own_sig[c] & ~kept_sig[t] == 0)
-        noted.append((c[fits], t[fits], np.full(int(fits.sum()), j), meets[c[fits]]))
+        t = pt[c]
+        c = c[(own_size[c] < kept_size[t]) & (own_sig[c] & ~kept_sig[t] == 0)]
+        noted.append((c, pt[c], np.full(len(c), j), meets[c]))
     cand, cand_kept, cand_col, cand_meets = (np.concatenate(x) for x in zip(*noted)) if noted else (
         np.zeros(0, np.int64),) * 4
     # a set's first container is its first noted candidate holding every

@@ -265,8 +265,11 @@ def test_k_above_every_cluster_size_gives_nothing(level):
     assert stats.comparisons == 0
 
 
-def test_center_rect_table_matches_per_cluster_rects():
-    # sets of several sizes, members out of coordinate order
+@pytest.mark.parametrize("by_size_min", [0, gsc._BY_SIZE_MIN])
+def test_center_rect_table_matches_per_cluster_rects(monkeypatch, by_size_min):
+    # sets of several sizes, members out of coordinate order; both the
+    # per-set and the per-size reductions
+    monkeypatch.setattr(gsc, "_BY_SIZE_MIN", by_size_min)
     pts = random_points(11, 40)
     xs = np.array([p.x for p in pts])
     ys = np.array([p.y for p in pts])
