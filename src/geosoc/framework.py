@@ -139,14 +139,15 @@ def search_mccs(g: GeoSocialNetwork, q: int, cfg: DetectionConfig) -> list[Commu
     """Communities containing the query user, within distance d of them.
 
     Detection runs on the closed ball of radius d around q, read from a
-    grid of cell size d that is built once per network and d; its result
-    is an antichain sorted by members, and so is the part of it that
-    contains q.
+    grid of cell size d that the network keeps from the last search; its
+    result is an antichain sorted by members, and so is the part of it
+    that contains q.
     """
     params = cfg.params
     qp = g.point(q)
     grid = g.grids.get(params.d)
     if grid is None:
+        g.grids.clear()
         grid = g.grids[params.d] = build_grid(g.points, params.d)
     ball = range_query_disk(grid, qp, params.d, params.eps)
     mccs = detect_mccs(g.subnetwork(ball), cfg)

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .model import (
     DEFAULT_EPS,
@@ -52,14 +53,9 @@ from .model import (
     GeoSocError,
     SpatialCluster,
 )
-from .spatial_index import argsort_ints, build_grid, range_query_disk
+from .spatial_index import build_grid, range_query_disk
 from .sweep_exact import LocalFamilies, local_member_families
 from .sweep_exact import spans as _spans
-
-
-# from this many sets on, bulk center rectangles are reduced per set size
-# (measured crossover with per-set reduceat: about 3,000 sets)
-_BY_SIZE_MIN = 4096
 
 
 class PruneLevel(enum.Enum):
@@ -102,31 +98,19 @@ def center_rect(members: Sequence[GeoPoint] | ClusterTable, r: float):
     set, in the order x_lo, x_hi, y_lo, y_hi.
     """
     if isinstance(members, ClusterTable):
-        size = np.diff(members.offsets)
-        if np.any(size == 0):
+        starts = members.offsets[:-1]
+        if np.any(np.diff(members.offsets) == 0):
             raise EmptyCluster("cannot build a center rectangle from zero points")
-        if not len(size):
+        if not len(starts):
             return (np.zeros(0),) * 4
-        xs, ys = members.xs, members.ys
-        if len(size) < _BY_SIZE_MIN:
-            starts = members.offsets[:-1]
-            at = members.members
-            reduce = (np.maximum.reduceat, np.minimum.reduceat)
-            bounds = np.array([f(c[at], starts) for c in (xs, ys) for f in reduce])
-        else:
-            # a reduceat pays per set, so take the sets of one size at a time
-            # as a (size, sets) block of member coordinates and reduce over axis 0
-            bounds = np.empty((4, len(size)))
-            by_size = argsort_ints(size)
-            for group in np.split(by_size, np.flatnonzero(np.diff(size[by_size])) + 1):
-                at = members.members[members.offsets[group] + np.arange(size[group[0]])[:, None]]
-                for i, coords in ((0, xs), (2, ys)):
-                    block = coords[at]
-                    bounds[i, group] = block.max(axis=0)
-                    bounds[i + 1, group] = block.min(axis=0)
-        bounds[0::2] -= r
-        bounds[1::2] += r
-        return tuple(bounds)
+        xs = members.xs[members.members]
+        ys = members.ys[members.members]
+        return (
+            np.maximum.reduceat(xs, starts) - r,
+            np.minimum.reduceat(xs, starts) + r,
+            np.maximum.reduceat(ys, starts) - r,
+            np.minimum.reduceat(ys, starts) + r,
+        )
     if not members:
         raise EmptyCluster("cannot build a center rectangle from zero points")
     xs = [p.x for p in members]
@@ -260,22 +244,18 @@ def _member_sets(fam: LocalFamilies, k: int, keys=_mix):
     Groups come from a hash of the members (keys maps positions to 64-bit
     keys) and are confirmed by comparing the member lists; a group whose
     hash collides is split by the member tuples themselves.  Returns the
-    set of every local cluster (-1 below size k), sets numbered in the
-    order of their first local clusters, and which local clusters are
-    their set's first.
+    set of every local cluster (-1 below size k), the local clusters
+    ordered by set, and the start of each set's run in that order.
     """
     sizes = fam.sizes
     use = np.flatnonzero(sizes >= k)
     if not len(use):
-        return np.full(len(sizes), -1, np.int64), np.zeros(len(sizes), bool)
+        return np.full(len(sizes), -1, np.int64), use, use
     point_key = keys(np.arange(len(fam.nbhd.ids)))
     hashes = np.add.reduceat(point_key[fam.members], fam.offsets[:-1])[use] ^ keys(sizes[use])
-    # sort by hash with the index in the hash's low bits (a shorter hash
-    # only makes the rare collisions below a little likelier)
-    low = np.uint64((1 << len(use).bit_length()) - 1)
-    hashes = np.sort(hashes & ~low | np.arange(len(use), dtype=np.uint64))
-    order = use[hashes & low]
-    hashes &= ~low
+    by_hash = np.argsort(hashes)
+    order = use[by_hash]
+    hashes = hashes[by_hash]
     new = np.ones(len(order), bool)
     new[1:] = hashes[1:] != hashes[:-1]
     head = order[np.maximum.accumulate(np.where(new, np.arange(len(order)), 0))]
@@ -301,42 +281,36 @@ def _member_sets(fam: LocalFamilies, k: int, keys=_mix):
         order, group = order[regroup], group[regroup]
         new = np.ones(len(order), bool)
         new[1:] = group[1:] != group[:-1]
-    first = np.minimum.reduceat(order, np.flatnonzero(new))
-    is_first = np.zeros(len(sizes), bool)
-    is_first[first] = True
     local_set = np.full(len(sizes), -1, np.int64)
-    local_set[order] = (np.cumsum(is_first) - 1)[first][np.cumsum(new) - 1]
-    return local_set, is_first
+    local_set[order] = np.cumsum(new) - 1
+    return local_set, order, np.flatnonzero(new)
 
 
 def _owner_filter(fam: LocalFamilies, k: int, prune_level: PruneLevel, r: float, eps: float):
     nbhd = fam.nbhd
     n = len(nbhd.ids)
-    local_set, is_first = _member_sets(fam, k)
-    n_sets = int(is_first.sum())
-    copy = np.flatnonzero(local_set >= 0)
-    copy_set = local_set[copy]
-    # a copy of a set is kept only if the set is local at its successors
-    # too: if some copy of it has the successor as its reference
-    where = np.sort(copy_set * n + fam.refs[copy])
+    local_set, by_set, set_start = _member_sets(fam, k)
+    n_sets = len(set_start)
+    copies = np.diff(np.append(set_start, len(by_set)))
+    # a copy of a set is kept only if the set is local at its successors too
     asked = local_set[fam.succ_of]
     live = np.flatnonzero(asked >= 0)
-    asked = asked[live]
-    query = asked * n + fam.succ_pos[live]
-    found = where[np.minimum(_sorted_search(where, query), len(where) - 1)] == query
+    asked, succ = asked[live], fam.succ_pos[live]
+    slots = _spans(set_start[asked], copies[asked])
+    found = _run_sums(fam.refs[by_set[slots]] == np.repeat(succ, copies[asked]), copies[asked]) > 0
     kept = np.ones(n_sets, bool)
     kept[asked[~found]] = False
 
+    set_rep = by_set[set_start]
     # the reference the sequential filter meets first: earliest in the input
-    seen = np.sort(copy_set * n + nbhd.order[fam.refs[copy]])
-    copies = np.bincount(copy_set, minlength=n_sets)
+    first_seen = np.minimum.reduceat(nbhd.order[fam.refs[by_set]], set_start) if n_sets else set_start
     position = np.empty(n, np.int64)
     position[nbhd.order] = np.arange(n)
-    set_ref = position[seen[np.cumsum(copies) - copies] - np.arange(n_sets) * n]
-    sizes = fam.sizes[is_first]
+    set_ref = position[first_seen]
+    sizes = fam.sizes[set_rep]
     offsets = np.zeros(n_sets + 1, np.int64)
     np.cumsum(sizes, out=offsets[1:])
-    table = ClusterTable(nbhd.xs, nbhd.ys, offsets, fam.members[np.repeat(is_first, fam.sizes)])
+    table = ClusterTable(nbhd.xs, nbhd.ys, offsets, fam.members[_spans(fam.offsets[set_rep], sizes)])
     # The owner check can only err where a successor's share of the
     # boundary shrinks to a point and rounding loses it.  So it is
     # confirmed: a set is kept exactly when no kept set contains it, and
@@ -346,7 +320,7 @@ def _owner_filter(fam: LocalFamilies, k: int, prune_level: PruneLevel, r: float,
         chosen, tuples = _member_tuples(np.flatnonzero(kept), table, nbhd.ids)
         # the sequential filter's order: larger sets first, then by members
         by_members = np.array(sorted(range(len(tuples)), key=tuples.__getitem__), np.int64)
-        place = by_members[argsort_ints(-sizes[chosen[by_members]])]
+        place = by_members[np.argsort(-sizes[chosen[by_members]], kind="stable")]
         count, contained = _comparisons(prune_level, kept, chosen[place], set_ref, table, nbhd, r, eps)
         wrong = contained == kept
         if not wrong.any() or attempt == 2:
@@ -365,7 +339,7 @@ def _owner_filter(fam: LocalFamilies, k: int, prune_level: PruneLevel, r: float,
 def _member_tuples(sets: np.ndarray, table: ClusterTable, ids: np.ndarray):
     """The member id tuples of the given sets, reordered by size; equal-size
     tuples come off one flat list at once."""
-    sets = sets[argsort_ints(table.offsets[sets + 1] - table.offsets[sets])]
+    sets = sets[np.argsort(table.offsets[sets + 1] - table.offsets[sets], kind="stable")]
     size = table.offsets[sets + 1] - table.offsets[sets]
     flat = ids[table.members[_spans(table.offsets[sets], size)]].tolist()
     ends = np.cumsum(size).tolist()
@@ -379,10 +353,19 @@ def _member_tuples(sets: np.ndarray, table: ClusterTable, ids: np.ndarray):
 
 def _sorted_search(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """np.searchsorted, with the queries visited in ascending order."""
-    order = argsort_ints(queries)
+    order = np.argsort(queries)
     out = np.empty(len(queries), np.int64)
     out[order] = np.searchsorted(keys, queries[order])
     return out
+
+
+def _by_column(rows: np.ndarray, sizes: np.ndarray, n_cols: int):
+    """Transpose a CSR pattern: row i holds columns rows[...]; returns, per
+    column, the start of its run and the rows holding it, ascending."""
+    indptr = np.zeros(len(sizes) + 1, np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    pattern = csr_matrix((np.ones(len(rows), np.int8), rows, indptr), shape=(len(sizes), n_cols)).tocsc()
+    return pattern.indptr.astype(np.int64), pattern.indices.astype(np.int64)
 
 
 def _comparisons(prune_level, kept, chosen, set_ref, table, nbhd, r, eps):
@@ -402,15 +385,11 @@ def _comparisons(prune_level, kept, chosen, set_ref, table, nbhd, r, eps):
     kept_size = sizes[chosen]
     place = np.full(len(kept), -1)
     place[chosen] = np.arange(n_kept)
-    # the kept sets referenced within reach of each point, in the filter's
-    # order: sorted (point, kept set) keys
+    # the kept sets referenced within reach of each point, in the filter's order
     kept_ref = set_ref[chosen]
     degree = np.diff(nbhd.offsets)[kept_ref]
-    point = nbhd.nbrs[_spans(nbhd.offsets[kept_ref], degree)]
-    near_key = np.sort(point * n_kept + np.repeat(np.arange(n_kept), degree))
-    near_start = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(point, minlength=n), out=near_start[1:])
-    near = near_key - np.repeat(np.arange(n) * n_kept, np.diff(near_start))
+    near_start, near = _by_column(nbhd.nbrs[_spans(nbhd.offsets[kept_ref], degree)], degree, n)
+    near_key = np.repeat(np.arange(n), np.diff(near_start)) * n_kept + near
     # candidates: the kept sets before a kept set, larger than a dropped one
     bound = np.where(kept, place, np.searchsorted(-kept_size, -sizes, side="left"))
     start = near_start[set_ref]
@@ -428,7 +407,7 @@ def _comparisons(prune_level, kept, chosen, set_ref, table, nbhd, r, eps):
     # walk the j-th candidate of every set at once, longest lists first;
     # count the rectangle meetings so far, and note the meeting candidates
     # that hold the set's signature
-    walk = argsort_ints((stop.max(initial=0) - stop) * (len(near) + 1) + start)
+    walk = np.argsort((stop.max(initial=0) - stop) * (len(near) + 1) + start)
     stop, start, mine = stop[walk], start[walk], np.take(mine, walk, axis=0)
     own_sig, own_size = sig[walk], sizes[walk]
     meets = np.zeros(len(walk), np.int64)
@@ -462,7 +441,7 @@ def _comparisons(prune_level, kept, chosen, set_ref, table, nbhd, r, eps):
     n_words = int(words.sum())
     bitset = np.bincount(word, np.where(high, 0.0, half), n_words).astype(np.uint64)
     bitset |= np.bincount(word, np.where(high, half, 0.0), n_words).astype(np.uint64) << np.uint64(32)
-    by_set = argsort_ints(cand)
+    by_set = np.argsort(cand, kind="stable")
     cand, cand_kept, cand_col, cand_meets = cand[by_set], cand_kept[by_set], cand_col[by_set], cand_meets[by_set]
     limit = bound[walk]
     admitted = stop.copy()

@@ -3,9 +3,9 @@
 Coordinates live in an abstract planar unit system (meters once a
 geographic input has been projected).  Everything here is immutable after
 construction and safe to share between threads.  A network's lazily built
-caches (``point_map``, ``positions`` and the spatial ``grids`` a search
-fills) are derived only from its immutable fields, so building one never
-changes what the network means.
+caches (``positions``, which ``point_map`` reads through, and the spatial
+``grids`` a search fills) are derived only from its immutable fields, so
+building one never changes what the network means.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
     from .spatial_index import GridIndex
@@ -145,15 +145,14 @@ class SpatialCluster:
         strictly increasing and holding their references (bulk outputs,
         where the per-object checks would cost as much as the clustering)."""
         out = list(map(object.__new__, repeat(cls, len(members))))
-        # the slot descriptors set the fields directly, past the frozen
-        # __setattr__ and without a lookup by name
-        for slot, values in (
-            (cls.members, members),
-            (cls.reference, references),
-            (cls.kind, repeat(kind, len(out))),
-            (cls.center_rect, repeat(None, len(out))),
+        fill = object.__setattr__
+        for name, values in (
+            ("members", members),
+            ("reference", references),
+            ("kind", repeat(kind, len(out))),
+            ("center_rect", repeat(None, len(out))),
         ):
-            deque(map(slot.__set__, out, values), maxlen=0)
+            deque(map(fill, out, repeat(name), values), maxlen=0)
         return out
 
 
@@ -179,6 +178,24 @@ class Community:
         return cls(tuple(sorted(set(members))), k, social_kind)
 
 
+class _PointsById(Mapping[int, GeoPoint]):
+    """Read-only id -> point view over a network's points and id -> index map."""
+
+    __slots__ = ("_points", "_at")
+
+    def __init__(self, points: tuple[GeoPoint, ...], at: dict[int, int]) -> None:
+        self._points, self._at = points, at
+
+    def __getitem__(self, pid: int) -> GeoPoint:
+        return self._points[self._at[pid]]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._at)
+
+    def __len__(self) -> int:
+        return len(self._at)
+
+
 @dataclass(frozen=True)
 class GeoSocialNetwork:
     """Points plus a symmetric, loop-free adjacency over their ids."""
@@ -187,19 +204,19 @@ class GeoSocialNetwork:
     adjacency: dict[int, tuple[int, ...]]
 
     @cached_property
-    def point_map(self) -> dict[int, GeoPoint]:
-        return {p.id: p for p in self.points}
-
-    @cached_property
     def positions(self) -> dict[int, int]:
         """Id -> index of the point in ``points``."""
         return {p.id: i for i, p in enumerate(self.points)}
 
+    @property
+    def point_map(self) -> Mapping[int, GeoPoint]:
+        return _PointsById(self.points, self.positions)
+
     @cached_property
     def grids(self) -> dict[float, GridIndex]:
-        """Grids over ``points`` keyed by cell size, filled by the searches
-        that build them; two searches racing may both build one grid, and
-        either copy serves."""
+        """The grid over ``points`` that the last search built, keyed by its
+        cell size (a search at another size replaces it); two searches
+        racing may both build one grid, and either copy serves."""
         return {}
 
     @property
@@ -216,7 +233,7 @@ class GeoSocialNetwork:
 
     def point(self, pid: int) -> GeoPoint:
         try:
-            return self.point_map[pid]
+            return self.points[self.positions[pid]]
         except KeyError:
             raise UnknownVertex(f"vertex {pid} is not in the network") from None
 

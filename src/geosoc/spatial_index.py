@@ -96,24 +96,6 @@ class Neighbours:
         return np.repeat(np.arange(len(self.ids)), np.diff(self.offsets))
 
 
-# below this many keys np.argsort's stable sort is the faster (measured
-# crossover between 768 and 1024 keys)
-_PACKED_SORT_MIN = 1024
-
-
-def argsort_ints(keys: np.ndarray) -> np.ndarray:
-    """np.argsort(keys, kind="stable") for integer keys.  Where the key
-    range and the index fit in 63 bits together, the index rides in the
-    low bits of one plain sort, which is several times faster."""
-    if len(keys) < _PACKED_SORT_MIN:
-        return np.argsort(keys, kind="stable")
-    shift = len(keys).bit_length()
-    lo = int(keys.min())
-    if int(keys.max()) - lo >= 1 << (63 - shift):
-        return np.argsort(keys, kind="stable")
-    return np.sort((keys - lo) << shift | np.arange(len(keys))) & ((1 << shift) - 1)
-
-
 _JOIN_BLOCK = 4096
 
 
@@ -139,7 +121,7 @@ class _CellRuns:
         low, high = (cx.min(), cy.min()), (cx.max(), cy.max())
         width = int(high[1] - low[1]) + 1
         key = (cx - low[0]).astype(np.int64) * width + (cy - low[1]).astype(np.int64)
-        by_cell = argsort_ints(key)
+        by_cell = np.argsort(key, kind="stable")
         key = key[by_cell]
         return cls(cs, low, high, width, key, by_cell, *np.unique(key, return_index=True, return_counts=True))
 
@@ -220,8 +202,8 @@ def _all_disks(idx: GridIndex, radius: float, eps: float) -> Neighbours:
     dist = np.concatenate((dist, dist, np.zeros(n)))
     ids = ids[by_cell]
     id_rank = np.empty(n, np.int64)
-    id_rank[argsort_ints(ids)] = every
-    order = argsort_ints(center * n + id_rank[other])
+    id_rank[np.argsort(ids, kind="stable")] = every
+    order = np.argsort(center * n + id_rank[other])
     offsets = np.zeros(n + 1, np.int64)
     np.cumsum(np.bincount(center, minlength=n), out=offsets[1:])
     return Neighbours(ids, sx, sy, by_cell, offsets, other[order], dist[order])

@@ -36,7 +36,7 @@ from .model import (
     SpatialCluster,
     euclidean_distance,
 )
-from .spatial_index import Neighbours, argsort_ints
+from .spatial_index import Neighbours
 
 TAU = 2.0 * math.pi
 
@@ -126,8 +126,8 @@ def _math_windows(xs, ys, row, other, two_r):
 
 def _one_hot(slot: np.ndarray, live: np.ndarray, words: int) -> np.ndarray:
     """Bitmasks, shape slot.shape + (words,), with the bit of each live slot."""
-    bit = np.left_shift(np.uint64(1), (slot & 63).astype(np.uint64))
-    bit *= live
+    bit = np.left_shift(np.uint64(1), (slot % 64).astype(np.uint64))
+    bit[~live] = 0
     if words == 1:
         return bit[..., None]
     out = np.zeros(slot.shape + (words,), np.uint64)
@@ -184,7 +184,7 @@ class _Sweep:
         parts = []
         tied = [np.zeros(0, np.int64)]
         key = self.words[rows] * (1 << 32) + (self.m[rows] + 7) // 8
-        order = argsort_ints(key)
+        order = np.argsort(key, kind="stable")
         rows, key = rows[order], key[order]
         for group in np.split(rows, np.flatnonzero(np.diff(key)) + 1):
             if not len(group):
@@ -222,14 +222,11 @@ class _Sweep:
         offs = self.nbhd.offsets
         shift = max(3, (int(np.diff(offs)[rows].max()) - 1).bit_length())
         raw = masks.astype("<u8", copy=False).view(np.uint8).reshape(len(ref), 8 * words)
-        bits = np.unpackbits(raw, axis=1, count=1 << shift, bitorder="little")
-        found = np.flatnonzero(bits.view(bool))  # nonzero is far faster on bools
+        found = np.flatnonzero(np.unpackbits(raw, axis=1, count=1 << shift, bitorder="little"))
         row_start = offs[rows[ref]]
-        group = found >> shift
-        # found is the group's slot plus group << shift
-        members = self.nbhd.nbrs[(row_start - (np.arange(len(ref)) << shift))[group] + found]
+        members = self.nbhd.nbrs[row_start[found >> shift] + (found & ((1 << shift) - 1))]
         succ_pos = self.nbhd.nbrs[row_start[succ_of] + succ_slot]
-        sizes = np.bincount(group, minlength=len(ref))
+        sizes = np.bincount(found >> shift, minlength=len(ref))
         return (rows[ref], sizes, members, succ_of, succ_pos), rows[tied]
 
 

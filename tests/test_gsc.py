@@ -255,30 +255,3 @@ def test_k_filter_drops_small_clusters():
     pts = [GeoPoint(0, 0, 0), GeoPoint(1, 1, 0), GeoPoint(2, 50, 50)]
     got = families(global_spatial_clusters(pts, 2.0, k=2))
     assert got == {(0, 1)}
-
-
-@pytest.mark.parametrize("level", list(PruneLevel))
-def test_k_above_every_cluster_size_gives_nothing(level):
-    pts = random_points(9, 60)
-    stats = ComparisonStats()
-    assert global_spatial_clusters(pts, 20.0, k=len(pts) + 1, prune_level=level, stats_out=stats) == []
-    assert stats.comparisons == 0
-
-
-@pytest.mark.parametrize("by_size_min", [0, gsc._BY_SIZE_MIN])
-def test_center_rect_table_matches_per_cluster_rects(monkeypatch, by_size_min):
-    # sets of several sizes, members out of coordinate order; both the
-    # per-set and the per-size reductions
-    monkeypatch.setattr(gsc, "_BY_SIZE_MIN", by_size_min)
-    pts = random_points(11, 40)
-    xs = np.array([p.x for p in pts])
-    ys = np.array([p.y for p in pts])
-    sets = [[3], [0, 7, 2], [5, 1], [9, 4, 8, 6], [12, 10, 11], [13, 14]]
-    offsets = np.cumsum([0] + [len(s) for s in sets])
-    table = gsc.ClusterTable(xs, ys, offsets, np.array([i for s in sets for i in s]))
-    got = center_rect(table, 5.0)
-    for i, s in enumerate(sets):
-        want = center_rect([pts[j] for j in s], 5.0)
-        assert (got[0][i], got[1][i], got[2][i], got[3][i]) == (want.x_lo, want.x_hi, want.y_lo, want.y_hi)
-    empty = gsc.ClusterTable(xs, ys, np.zeros(1, np.int64), np.zeros(0, np.int64))
-    assert [len(b) for b in center_rect(empty, 5.0)] == [0, 0, 0, 0]

@@ -124,6 +124,17 @@ def test_subnetwork_keeps_parent_order_and_restricts_edges():
     assert net.subnetwork(iter(net.ids)) == net
 
 
+def test_point_lookup_by_id():
+    net = _scrambled_network()
+    assert net.point_map == {p.id: p for p in net.points}
+    assert list(net.point_map) == [7, 2, 9, 0, 5, 3]
+    assert net.point(0) == GeoPoint(0, 0.0, 0.0) and net.point_map[9] == net.point(9)
+    with pytest.raises(UnknownVertex):
+        net.point(4)
+    with pytest.raises(KeyError):
+        net.point_map[4]
+
+
 def test_subnetwork_unknown_vertex():
     net = _scrambled_network()
     with pytest.raises(UnknownVertex):
