@@ -61,7 +61,6 @@ from .model import (
 )
 from .social import (
     InducedSubgraph,
-    core_numbers,
     induced_subgraph,
     k_core_communities,
     k_truss_communities,

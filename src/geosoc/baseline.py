@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -235,19 +235,31 @@ def clique_clusters(
 
     found: list[tuple[int, ...]] = []
 
-    def expand(clique: list[int], cand: set[int], done: set[int]) -> None:
-        if not cand and not done:
-            found.append(tuple(sorted(clique)))
-            if max_cliques is not None and len(found) > max_cliques:
-                raise CliqueBudgetExceeded(f"more than {max_cliques} maximal cliques")
-            return
+    def branches(cand: set[int], done: set[int]) -> Iterator[int]:
         pivot = max(cand | done, key=lambda u: (len(cand & adj[u]), -u))
-        for v in sorted(cand - adj[pivot]):
-            expand(clique + [v], cand & adj[v], done & adj[v])
+        return iter(sorted(cand - adj[pivot]))
+
+    # Bron-Kerbosch with pivoting, depth first on an explicit stack so that
+    # a dense blob cannot exhaust the interpreter's recursion limit; a frame
+    # is a clique, its candidate and excluded sets, and its branches left.
+    # A branch with no candidates is a leaf: maximal when nothing is excluded
+    cand = set(adj)
+    stack = [([], cand, set(), branches(cand, set()))]
+    while stack:
+        clique, cand, done, todo = stack[-1]
+        for v in todo:
+            sub_cand, sub_done = cand & adj[v], done & adj[v]
             cand.remove(v)
             done.add(v)
-
-    expand([], set(adj), set())
+            if sub_cand:
+                stack.append((clique + [v], sub_cand, sub_done, branches(sub_cand, sub_done)))
+                break
+            if not sub_done:
+                found.append(tuple(sorted(clique + [v])))
+                if max_cliques is not None and len(found) > max_cliques:
+                    raise CliqueBudgetExceeded(f"more than {max_cliques} maximal cliques")
+        else:
+            stack.pop()
     clusters = [SpatialCluster.from_members(c, c[0], ClusterKind.ALL_PAIR) for c in found]
     clusters.sort(key=lambda c: c.members)
     return clusters

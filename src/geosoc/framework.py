@@ -17,8 +17,8 @@ from .social import (
     induced_subgraph,
     k_core_communities,
     k_core_vertices,
-    k_truss_adjacency,
     k_truss_communities,
+    k_truss_network,
 )
 from .spatial_index import build_grid, range_query_disk
 
@@ -80,11 +80,13 @@ def detect_mccs(g: GeoSocialNetwork, cfg: DetectionConfig) -> list[Community]:
 
     The spatial stage runs on a social pre-filter of g: the k-core for a
     core query; for a truss query, the endpoints of the global k-truss
-    edges with those edges only.  Every community lies in the k-core, and
-    every truss community is spanned by global truss edges; the truss of a
-    vertex set C is the same in g[C] as in the global truss restricted to
-    C, and every spatial mode is hereditary, so the result is the same as
-    on all of g.
+    edges with those edges only, peeled as whole arrays over one list of
+    g's triangles (``k_truss_network``).  Every community lies in the
+    k-core, and every truss community is spanned by global truss edges;
+    the per-cluster engines are the dict peels of ``social``.  The truss
+    of a vertex set C is the same in g[C] as in the global truss
+    restricted to C, and every spatial mode is hereditary, so the result
+    is the same as on all of g.
     """
     params = cfg.params
     if params.social_kind is SocialKind.CORE:
@@ -94,9 +96,7 @@ def detect_mccs(g: GeoSocialNetwork, cfg: DetectionConfig) -> list[Community]:
             g = g.subnetwork(keep)
     else:
         engine = k_truss_communities
-        adj = k_truss_adjacency(g, params.k)
-        pts = tuple(p for p in g.points if p.id in adj)
-        g = GeoSocialNetwork(pts, {p.id: tuple(sorted(adj[p.id])) for p in pts})
+        g = k_truss_network(g, params.k)
     local: list[Community] = []
     for cluster in spatial_clusters(g.points, cfg):
         local.extend(engine(induced_subgraph(g, cluster.members), params.k))

@@ -6,6 +6,7 @@ peeling code paths so they can certify them.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 
@@ -95,6 +96,27 @@ def random_network(seed, n, density=0.008, m_nearest=3, n_random=None) -> GeoSoc
         n_random = n // 4
     edges = attach_social_edges(points, m_nearest=m_nearest, n_random=n_random, seed=seed)
     return build_network(points, edges)
+
+
+def core_numbers(g) -> dict[int, int]:
+    """Largest k such that each vertex survives min-degree-k peeling."""
+    adjacency = g.adjacency
+    degree = {v: len(ns) for v, ns in adjacency.items()}
+    heap = [(dv, v) for v, dv in degree.items()]
+    heapq.heapify(heap)
+    core: dict[int, int] = {}
+    level = 0
+    while heap:
+        dv, v = heapq.heappop(heap)
+        if v in core or degree[v] != dv:
+            continue
+        level = max(level, dv)
+        core[v] = level
+        for u in adjacency[v]:
+            if u not in core:
+                degree[u] -= 1
+                heapq.heappush(heap, (degree[u], u))
+    return core
 
 
 def brute_core_family(adjacency: dict[int, list[int]], k: int) -> set[tuple[int, ...]]:

@@ -21,9 +21,9 @@ from geosoc.datagen import Distribution, GenSpec, generate
 from geosoc.framework import DetectionConfig, detect_mccs, find_global_mcc
 from geosoc.gsc import ComparisonStats, PruneLevel, global_spatial_clusters
 from geosoc.model import Community, GeoPoint, Params, SocialKind, build_network
-from geosoc.social import core_numbers, k_core_communities, k_truss_edges
+from geosoc.social import k_core_communities, k_truss_edges
 from geosoc.sweep_exact import local_spatial_clusters
-from helpers import brute_core_family, brute_mcc_family, families, random_network
+from helpers import brute_core_family, brute_mcc_family, core_numbers, families, random_network
 
 SQRT2 = math.sqrt(2)
 

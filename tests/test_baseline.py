@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -110,6 +111,20 @@ def test_clique_budget():
 def test_clique_deterministic():
     pts = random_points(13, 80)
     assert clique_clusters(pts, 20.0) == clique_clusters(pts, 20.0)
+
+
+def test_clique_on_a_blob_deeper_than_the_recursion_limit():
+    # a complete proximity graph nests one branch per point, so a recursive
+    # enumeration needs more frames than the lowered limit allows
+    limit = 250
+    pts = [pt(i, (i % 20) * 0.05, (i // 20) * 0.05) for i in range(2 * limit)]
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        got = clique_clusters(pts, 5.0)
+    finally:
+        sys.setrecursionlimit(old)
+    assert families(got) == {tuple(range(2 * limit))}
 
 
 def test_mec_single_point():

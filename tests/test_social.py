@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from geosoc.model import GeoPoint, UnknownVertex, build_network
 from geosoc.social import (
-    core_numbers,
     induced_subgraph,
     k_core_communities,
     k_core_vertices,
     k_truss_communities,
     k_truss_edges,
+    k_truss_network,
 )
-from helpers import brute_core_family, example_network, families
+from helpers import brute_core_family, core_numbers, example_network, families
 
 
 def graph(n, edges):
@@ -161,6 +161,56 @@ def test_truss_of_a_subset_is_its_truss_within_the_global_truss(n, k, seed):
     c = [v for v in range(n) if rnd.random() < 0.75]
     want = k_truss_edges(induced_subgraph(g, c), k)
     assert k_truss_edges(induced_subgraph(in_truss, c), k) == want
+
+
+def _assert_same_truss_network(g, k):
+    # the reference: the network built from the dict peel's edges
+    edges = k_truss_edges(g, k)
+    kept = {v for e in edges for v in e}
+    want = build_network([p for p in g.points if p.id in kept], edges)
+    got = k_truss_network(g, k)
+    assert got.points == want.points, k
+    assert got.adjacency == want.adjacency, k
+
+
+@settings(max_examples=300)
+@given(
+    ids=st.lists(st.integers(min_value=-60, max_value=60), unique=True, max_size=14),
+    k=st.integers(min_value=2, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_truss_network_matches_the_dict_peel(ids, k, seed):
+    # shuffled, sparse and negative ids, points in no id order; a planted
+    # clique over about half the vertices gives trusses up to k = 6, the
+    # other pairs are edges with a random density, and a vertex may be
+    # isolated
+    rnd = random.Random(seed)
+    rnd.shuffle(ids)
+    clique = {v for v in ids if rnd.random() < 0.5}
+    p = rnd.choice((0.0, 0.15, 0.4))
+    g = build_network(
+        [GeoPoint(v, rnd.random(), rnd.random()) for v in ids],
+        [(u, v) for u, v in itertools.combinations(ids, 2) if {u, v} <= clique or rnd.random() < p],
+    )
+    _assert_same_truss_network(g, k)
+
+
+def test_truss_network_examples():
+    k6 = list(itertools.combinations(range(6), 2))
+    dense = graph(9, k6 + [(5, 6), (6, 7), (7, 5), (7, 8)])  # K6, a triangle on it, a tail
+    for g in (TRIANGLE, PATH3, K4_PENDANT, dense, graph(4, [])):
+        for k in range(2, 8):
+            _assert_same_truss_network(g, k)
+    # k = 2 keeps every edge and drops only edge-less vertices
+    lonely = graph(4, [(0, 1), (1, 2)])
+    assert k_truss_network(lonely, 2).ids == (0, 1, 2)
+    assert k_truss_network(lonely, 2).adjacency == {0: (1,), 1: (0, 2), 2: (1,)}
+    # an empty truss: a 5-cycle has no triangle
+    c5 = graph(5, [(i, (i + 1) % 5) for i in range(5)])
+    assert k_truss_network(c5, 3).points == ()
+    assert k_truss_network(dense, 6).ids == tuple(range(6))
+    with pytest.raises(ValueError):
+        k_truss_network(TRIANGLE, 1)
 
 
 def test_result_invariant_under_relabeling():
