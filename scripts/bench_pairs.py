@@ -8,7 +8,7 @@ Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds 35
 --trace T`` once in each source tree, one process at a time; the side that
 runs first alternates from pair to pair.  A run whose last output line is
 not ``correct`` (or has failed operations) stops the script.  The pairs are
-written into BENCH_<label>.json next to this script's repository root,
+written into BENCH_<label>.json at the root of this repository,
 under the section ``end_to_end_seed<S>`` (``traced_seed<S>`` with --trace 1)
 and the workload's name, replacing an earlier entry for the same workload:
 each metric's runs per side, their median and quartiles
@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -52,6 +53,15 @@ def summary(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values * 2 if len(values) == 1 else values, n=4, method="inclusive")
     return {"median": round(statistics.median(values), 4), "q1": round(q1, 4),
             "q3": round(q3, 4), "runs": [round(v, 4) for v in values]}
+
+
+def dump(doc: dict) -> str:
+    """Indented JSON with each list, and each object of plain values, on one line."""
+    text = json.dumps(doc, indent=1)
+    for pattern in (r"\[([^\[\]{}]*)\]", r"\{([^\[\]{}]*(?:\[[^\]\n]*\][^\[\]{}]*)*)\}"):
+        text = re.sub(pattern, lambda m: m.group(0)[0] + " ".join(m.group(1).split()) + m.group(0)[-1], text)
+    # joining lines squeezes runs of spaces, also inside a string value
+    return (text if json.loads(text) == doc else json.dumps(doc, indent=1)) + "\n"
 
 
 def main() -> int:
@@ -105,7 +115,7 @@ def main() -> int:
     )
     section = f"{'traced' if args.trace else 'end_to_end'}_seed{args.seed}"
     doc.setdefault(section, {})[args.workload] = entry
-    out.write_text(json.dumps(doc, indent=1) + "\n")
+    out.write_text(dump(doc))
     print(f"wrote {args.workload} to {section} in {out}")
     return 0
 
