@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ _NO_LABELS: frozenset[int] = frozenset()
 class GascRegistry:
     """Labels of emitted clusters, indexed by member point id."""
 
-    points: dict[int, GeoPoint]
+    points: Mapping[int, GeoPoint] = field(default_factory=dict)  # read by check_global only
     node_gasc: dict[int, set[int]] = field(default_factory=dict)
     next_label: int = 0
 
@@ -163,11 +163,7 @@ def _global_members(points: Sequence[GeoPoint], d: float, k: int, eps: float):
     if d <= 0:
         raise ValueError("distance threshold d must be positive")
     grid = build_grid(points, d)
-    pts = grid.point_map.values()
-    n = len(grid.point_map)
-    xs = np.fromiter((p.x for p in pts), np.float64, n)
-    ys = np.fromiter((p.y for p in pts), np.float64, n)
-    ids = np.fromiter((p.id for p in pts), np.int64, n)
+    n, xs, ys, ids = grid.n_points, grid.xs, grid.ys, grid.ids
     order = np.lexsort((ids, ys, xs))
     xs, ys, ids = xs[order], ys[order], ids[order]
     offsets, slab = range_query_rect(grid, xs, xs + d, ys - d, ys + d, eps)
@@ -180,7 +176,7 @@ def _global_members(points: Sequence[GeoPoint], d: float, k: int, eps: float):
     for rank, by in zip(ranks, ranked):
         rank[by] = np.arange(n)
     x_of, id_of = xs.tolist(), ids.tolist()
-    reg = GascRegistry(grid.point_map)
+    reg = GascRegistry()
     stale = 0
     epoch_x: float | None = None
     same_x: list[tuple[int, ...]] = []

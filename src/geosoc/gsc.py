@@ -45,14 +45,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .model import (
-    DEFAULT_EPS,
-    CenterRect,
-    ClusterKind,
-    GeoPoint,
-    GeoSocError,
-    SpatialCluster,
-)
+from .model import DEFAULT_EPS, ClusterKind, GeoPoint, GeoSocError, SpatialCluster
 from .spatial_index import build_grid, range_query_disk
 from .sweep_exact import LocalFamilies, local_member_families
 from .sweep_exact import spans as _spans
@@ -62,10 +55,6 @@ class PruneLevel(enum.Enum):
     NONE = "none"
     RULE1 = "rule1"
     RULE1_2 = "rule1_2"
-
-
-class MissingCenterRect(GeoSocError):
-    """Rectangle pruning requested but a cluster carries no rectangle."""
 
 
 class EmptyCluster(GeoSocError):
@@ -78,6 +67,22 @@ class ComparisonStats:
     prune level (made by it, or derived for it by the bulk filter)."""
 
     comparisons: int = 0
+
+
+@dataclass(frozen=True)
+class CenterRect:
+    """Axis-aligned rectangle of feasible covering-circle centers.
+
+    For members with coordinate extremes (x_min, x_max, y_min, y_max) and
+    radius r the rectangle is [x_max-r, x_min+r] x [y_max-r, y_min+r]; it
+    is non-empty (up to tolerance) exactly when a radius-r circle can
+    cover all members.
+    """
+
+    x_lo: float
+    x_hi: float
+    y_lo: float
+    y_hi: float
 
 
 @dataclass(frozen=True)
@@ -130,11 +135,10 @@ def find_gsc(
 
     The output is identical for every prune level; only the comparison
     count changes.  Given LocalFamilies, the filter is the bulk owner
-    check of the module docstring and needs only d; the output clusters
-    carry no center rectangle.  Otherwise the clusters are filtered one
-    by one: reference-distance pruning needs d and the reference point
-    coordinates; rectangle pruning additionally needs every cluster to
-    carry its center rectangle.
+    check of the module docstring and needs only d.  Otherwise the
+    clusters are filtered one by one: reference-distance pruning needs d
+    and the point coordinates, from which rectangle pruning computes each
+    cluster's center rectangle.
     """
     if isinstance(lscs, LocalFamilies):
         if d is None:
@@ -150,13 +154,6 @@ def find_gsc(
 
     use_ref = prune_level in (PruneLevel.RULE1, PruneLevel.RULE1_2)
     use_rect = prune_level is PruneLevel.RULE1_2
-    if use_rect:
-        for c in clusters:
-            if c.center_rect is None:
-                raise MissingCenterRect(
-                    f"cluster {c.members} has no center rectangle but "
-                    f"prune level {prune_level.value} was requested"
-                )
     near_refs: dict[int, Sequence[int]] = {}
     ref_grid = None
     pmap: dict[int, GeoPoint] = {}
@@ -171,7 +168,7 @@ def find_gsc(
 
     accepted_sets: list[frozenset[int]] = []
     accepted_clusters: list[SpatialCluster] = []
-    accepted_rects: list[CenterRect | None] = []
+    accepted_rects: list[CenterRect] = []
     by_ref: dict[int, list[int]] = {}
     comparisons = 0
     for c in clusters:
@@ -191,7 +188,7 @@ def find_gsc(
             candidate_idx = range(len(accepted_sets))
         contained = False
         if use_rect:
-            rect = c.center_rect
+            rect = center_rect([pmap[i] for i in c.members], d / 2)
             x_lo, x_hi, y_lo, y_hi = rect.x_lo, rect.x_hi, rect.y_lo, rect.y_hi
             for i in candidate_idx:
                 other = accepted_rects[i]
@@ -216,7 +213,8 @@ def find_gsc(
             by_ref.setdefault(c.reference, []).append(len(accepted_sets))
             accepted_sets.append(mset)
             accepted_clusters.append(c)
-            accepted_rects.append(c.center_rect)
+            if use_rect:
+                accepted_rects.append(rect)
 
     stats.comparisons = comparisons
     out = sorted(accepted_clusters, key=lambda c: c.members)

@@ -3,9 +3,10 @@
 Coordinates live in an abstract planar unit system (meters once a
 geographic input has been projected).  Everything here is immutable after
 construction and safe to share between threads.  A network's lazily built
-caches (``positions``, which ``point_map`` reads through, and the spatial
-``grids`` a search fills) are derived only from its immutable fields, so
-building one never changes what the network means.
+caches (``positions``, which ``point_map`` reads through, and ``grids``,
+which holds the one ``spatial_index`` grid that a search reads its balls
+from) are derived only from its immutable fields, so building one never
+changes what the network means.
 """
 
 from __future__ import annotations
@@ -68,22 +69,6 @@ def euclidean_distance(a: GeoPoint, b: GeoPoint) -> float:
 
 
 @dataclass(frozen=True)
-class CenterRect:
-    """Axis-aligned rectangle of feasible covering-circle centers.
-
-    For members with coordinate extremes (x_min, x_max, y_min, y_max) and
-    radius r the rectangle is [x_max-r, x_min+r] x [y_max-r, y_min+r]; it
-    is non-empty (up to tolerance) exactly when a radius-r circle can
-    cover all members.
-    """
-
-    x_lo: float
-    x_hi: float
-    y_lo: float
-    y_hi: float
-
-
-@dataclass(frozen=True)
 class Params:
     """Detection parameters; the covering radius r is always d/2."""
 
@@ -120,7 +105,6 @@ class SpatialCluster:
     members: tuple[int, ...]
     reference: int
     kind: ClusterKind
-    center_rect: CenterRect | None = None
 
     def __post_init__(self) -> None:
         _check_members(self.members)
@@ -128,14 +112,8 @@ class SpatialCluster:
             raise ValueError("reference point must be a member")
 
     @classmethod
-    def from_members(
-        cls,
-        members: Iterable[int],
-        reference: int,
-        kind: ClusterKind,
-        center_rect: CenterRect | None = None,
-    ) -> "SpatialCluster":
-        return cls(tuple(sorted(set(members))), reference, kind, center_rect)
+    def from_members(cls, members: Iterable[int], reference: int, kind: ClusterKind) -> "SpatialCluster":
+        return cls(tuple(sorted(set(members))), reference, kind)
 
     @classmethod
     def _canonical_many(
@@ -150,7 +128,6 @@ class SpatialCluster:
             ("members", members),
             ("reference", references),
             ("kind", repeat(kind, len(out))),
-            ("center_rect", repeat(None, len(out))),
         ):
             deque(map(fill, out, repeat(name), values), maxlen=0)
         return out

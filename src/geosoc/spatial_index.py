@@ -1,9 +1,17 @@
-"""Uniform-grid index over points with disk and rectangle range queries."""
+"""Uniform-grid index over points with disk and rectangle range queries.
+
+The grid is one table of cell runs, built in whole arrays: the points in
+cell order, the sorted cell keys, and each occupied cell's first point
+and count.  The scalar queries walk the runs of a query box's cell
+columns; the bulk ones look up every cell of many boxes at once.
+"""
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -19,52 +27,85 @@ class EmptyRange(GeoSocError):
     """Rectangle query with inverted bounds."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridIndex:
-    """Points bucketed by cell (floor(x/cell), floor(y/cell)); immutable."""
+    """Points in runs by grid cell; immutable (the scalar queries' list view
+    of the runs is built from the arrays on first use).
+
+    Point i (insertion order) has id ``ids[i]`` at ``(xs[i], ys[i])`` and
+    lies in cell (floor(x / cell_size), floor(y / cell_size)).  A cell in
+    row cy of the j-th occupied column, ``columns[j]``, is keyed
+    ``j * width + cy - rows[0]``, where ``rows`` are the lowest and highest
+    occupied rows; numbering only occupied columns keeps the keys small
+    however far apart the columns lie.  ``order`` lists the points by key
+    (stable) and ``key`` holds their keys, so within one column the cells
+    of a box are one run of that order; occupied cell ``cells[i]`` holds
+    the points ``order[first[i]:first[i] + count[i]]``.
+    """
 
     cell_size: float
-    buckets: dict[tuple[int, int], tuple[int, ...]]
-    point_map: dict[int, GeoPoint]
-    bounds: tuple[float, float, float, float] | None  # min_x, min_y, max_x, max_y
+    ids: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    columns: np.ndarray
+    rows: tuple[int, int]
+    order: np.ndarray
+    key: np.ndarray
+    cells: np.ndarray
+    first: np.ndarray
+    count: np.ndarray
 
     @property
     def n_points(self) -> int:
-        return len(self.point_map)
+        return len(self.ids)
+
+    @property
+    def width(self) -> int:
+        return self.rows[1] - self.rows[0] + 1
+
+    @cached_property
+    def _lists(self) -> tuple[list, list, list, list, list]:
+        """Columns, then keys, ids, xs and ys in cell order, as lists for the
+        scalar queries."""
+        by_cell = self.order
+        return (self.columns.tolist(), self.key.tolist(), self.ids[by_cell].tolist(),
+                self.xs[by_cell].tolist(), self.ys[by_cell].tolist())
 
 
 def build_grid(points: Iterable[GeoPoint], cell_size: float) -> GridIndex:
     if not (math.isfinite(cell_size) and cell_size > 0):
         raise NonPositiveCellSize(f"cell size must be positive, got {cell_size}")
-    buckets: dict[tuple[int, int], list[int]] = {}
-    pmap: dict[int, GeoPoint] = {}
-    for p in points:
-        if p.id in pmap:
-            raise DuplicateId(f"point id {p.id} appears twice")
-        pmap[p.id] = p
-        key = (math.floor(p.x / cell_size), math.floor(p.y / cell_size))
-        buckets.setdefault(key, []).append(p.id)
-    bounds = None
-    if pmap:
-        xs = [p.x for p in pmap.values()]
-        ys = [p.y for p in pmap.values()]
-        bounds = (min(xs), min(ys), max(xs), max(ys))
-    frozen = {key: tuple(ids) for key, ids in buckets.items()}
-    return GridIndex(cell_size, frozen, pmap, bounds)
+    pts = points if isinstance(points, (list, tuple)) else list(points)
+    n = len(pts)
+    ids = np.fromiter((p.id for p in pts), np.int64, n)
+    xs = np.fromiter((p.x for p in pts), np.float64, n)
+    ys = np.fromiter((p.y for p in pts), np.float64, n)
+    by_id = np.sort(ids)
+    twice = by_id[1:][by_id[1:] == by_id[:-1]]
+    if len(twice):
+        raise DuplicateId(f"point id {twice[0]} appears twice")
+    cy = np.floor(ys / cell_size)
+    columns, column = np.unique(np.floor(xs / cell_size), return_inverse=True)
+    rows = (int(cy.min()), int(cy.max())) if n else (0, 0)
+    key = column * (rows[1] - rows[0] + 1) + (cy - rows[0]).astype(np.int64)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    return GridIndex(cell_size, ids, xs, ys, columns, rows, order, key,
+                     *np.unique(key, return_index=True, return_counts=True))
 
 
-def _cells(idx: GridIndex, x_lo: float, x_hi: float, y_lo: float, y_hi: float):
-    min_x, min_y, max_x, max_y = idx.bounds
-    x_lo, x_hi = max(x_lo, min_x), min(x_hi, max_x)
-    y_lo, y_hi = max(y_lo, min_y), min(y_hi, max_y)
-    if x_lo > x_hi or y_lo > y_hi:
+def _box_runs(idx: GridIndex, x_lo: float, x_hi: float, y_lo: float, y_hi: float):
+    """Per occupied column that meets the box, the run [lo, hi) of cell
+    order holding the column's cells that meet it."""
+    cs, (low, high), width = idx.cell_size, idx.rows, idx.width
+    y_first = max(math.floor(y_lo / cs), low) - low
+    y_last = min(math.floor(y_hi / cs), high) - low
+    if y_first > y_last:
         return
-    cs = idx.cell_size
-    for cx in range(math.floor(x_lo / cs), math.floor(x_hi / cs) + 1):
-        for cy in range(math.floor(y_lo / cs), math.floor(y_hi / cs) + 1):
-            bucket = idx.buckets.get((cx, cy))
-            if bucket:
-                yield bucket
+    columns, key = idx._lists[:2]
+    for j in range(bisect_left(columns, math.floor(x_lo / cs)), bisect_right(columns, math.floor(x_hi / cs))):
+        lo = bisect_left(key, j * width + y_first)
+        yield lo, bisect_right(key, j * width + y_last, lo)
 
 
 @dataclass(frozen=True)
@@ -99,77 +140,44 @@ class Neighbours:
 _JOIN_BLOCK = 4096
 
 
-@dataclass(frozen=True)
-class _CellRuns:
-    """Points bucketed by grid cell for bulk lookups: ``by_cell`` orders
-    them by cell key (``key``, stable), and occupied cell ``cells[i]``
-    holds the points at ``first[i]:first[i] + count[i]`` of that order."""
-
-    cs: float
-    low: tuple[float, float]
-    high: tuple[float, float]
-    width: int
-    key: np.ndarray
-    by_cell: np.ndarray
-    cells: np.ndarray
-    first: np.ndarray
-    count: np.ndarray
-
-    @classmethod
-    def of(cls, xs: np.ndarray, ys: np.ndarray, cs: float) -> "_CellRuns":
-        cx, cy = np.floor(xs / cs), np.floor(ys / cs)
-        low, high = (cx.min(), cy.min()), (cx.max(), cy.max())
-        width = int(high[1] - low[1]) + 1
-        key = (cx - low[0]).astype(np.int64) * width + (cy - low[1]).astype(np.int64)
-        by_cell = np.argsort(key, kind="stable")
-        key = key[by_cell]
-        return cls(cs, low, high, width, key, by_cell, *np.unique(key, return_index=True, return_counts=True))
-
-    def lookup(self, x_lo, x_hi, y_lo, y_hi):
-        """For each box, every cell key between its corner cells (a point
-        inside the box lies in one of those cells), that key's slot in
-        ``cells``, and whether the cell is occupied."""
-        ranges = []
-        for lo, hi, c0, c1 in ((x_lo, x_hi, self.low[0], self.high[0]), (y_lo, y_hi, self.low[1], self.high[1])):
-            first = (np.clip(np.floor(lo / self.cs), c0, c1) - c0).astype(np.int64)
-            ranges += [first[:, None, None], (np.clip(np.floor(hi / self.cs), c0, c1) - c0).astype(np.int64) - first + 1]
-        lo_x, span_x, lo_y, span_y = ranges
-        a = np.arange(int(span_x.max()))[None, :, None]
-        b = np.arange(int(span_y.max()))[None, None, :]
-        qkey = ((lo_x + a) * self.width + lo_y + b).reshape(len(lo_x), -1)
-        slot = np.minimum(np.searchsorted(self.cells, qkey), len(self.cells) - 1)
-        inside = (a < span_x[:, None, None]) & (b < span_y[:, None, None])
-        return qkey, slot, (self.cells[slot] == qkey) & inside.reshape(len(lo_x), -1)
+def _lookup(idx: GridIndex, x_lo, x_hi, y_lo, y_hi):
+    """For each box, every cell key between its corner cells in the occupied
+    columns it meets (a point inside the box lies in one of those cells),
+    that key's slot in ``cells``, and whether the cell is occupied."""
+    cs, (low, high) = idx.cell_size, idx.rows
+    lo_x = np.searchsorted(idx.columns, np.floor(x_lo / cs))
+    span_x = np.searchsorted(idx.columns, np.floor(x_hi / cs), side="right") - lo_x
+    lo_y = (np.clip(np.floor(y_lo / cs), low, high) - low).astype(np.int64)
+    span_y = (np.clip(np.floor(y_hi / cs), low, high) - low).astype(np.int64) - lo_y + 1
+    a = np.arange(int(span_x.max()))[None, :, None]
+    b = np.arange(int(span_y.max()))[None, None, :]
+    qkey = ((lo_x[:, None, None] + a) * idx.width + lo_y[:, None, None] + b).reshape(len(lo_x), -1)
+    slot = np.minimum(np.searchsorted(idx.cells, qkey), len(idx.cells) - 1)
+    inside = (a < span_x[:, None, None]) & (b < span_y[:, None, None])
+    return qkey, slot, (idx.cells[slot] == qkey) & inside.reshape(len(lo_x), -1)
 
 
 def _all_disks(idx: GridIndex, radius: float, eps: float) -> Neighbours:
     """One bulk join: every grid cell a per-point query would scan (see
-    _cells) is looked up for all points at once, and the candidates are
+    _box_runs) is looked up for all points at once, and the candidates are
     kept by the same closed distance test.  Each pair is measured once,
     from the point whose cell comes first (or which comes first in a
     shared cell), then recorded both ways.  Distances are
     sqrt(dx^2 + dy^2), within a few ulps of math.hypot, and equal to it
     wherever they lie within rounding distance of the reach, so the test
     decides as there."""
-    pts = idx.point_map.values()
-    n = len(idx.point_map)
-    ids = np.fromiter((p.id for p in pts), np.int64, n)
-    xs = np.fromiter((p.x for p in pts), np.float64, n)
-    ys = np.fromiter((p.y for p in pts), np.float64, n)
-    if n == 0:
-        empty = np.zeros(0, np.int64)
-        return Neighbours(ids, xs, ys, empty, np.zeros(1, np.int64), empty, np.zeros(0))
-    reach = radius + eps
     # work in cell order, where every cell's points are one run
-    runs = _CellRuns.of(xs, ys, idx.cell_size)
-    key, by_cell, first, count = runs.key, runs.by_cell, runs.first, runs.count
-    sx, sy = xs[by_cell], ys[by_cell]
+    n, by_cell, key, first, count = idx.n_points, idx.order, idx.key, idx.first, idx.count
+    ids, sx, sy = idx.ids[by_cell], idx.xs[by_cell], idx.ys[by_cell]
+    if n == 0:
+        return Neighbours(ids, sx, sy, by_cell, np.zeros(1, np.int64), by_cell, np.zeros(0))
+    reach = radius + eps
     ones, twos, dists = [], [], []
     for lo in range(0, n, _JOIN_BLOCK):
         # a block of points at a time keeps the candidate arrays small
         hi = min(lo + _JOIN_BLOCK, n)
         bx, by = sx[lo:hi], sy[lo:hi]
-        qkey, slot, hit = runs.lookup(bx - reach, bx + reach, by - reach, by + reach)
+        qkey, slot, hit = _lookup(idx, bx - reach, bx + reach, by - reach, by + reach)
         # later cells whole; in the point's own cell, the points after it
         after = np.arange(lo + 1, hi + 1)[:, None]
         later = hit & (qkey > key[lo:hi, None])
@@ -200,7 +208,6 @@ def _all_disks(idx: GridIndex, radius: float, eps: float) -> Neighbours:
     center = np.concatenate((one, two, every))
     other = np.concatenate((two, one, every))
     dist = np.concatenate((dist, dist, np.zeros(n)))
-    ids = ids[by_cell]
     id_rank = np.empty(n, np.int64)
     id_rank[np.argsort(ids, kind="stable")] = every
     order = np.argsort(center * n + id_rank[other])
@@ -215,24 +222,20 @@ def _all_rects(idx: GridIndex, x_lo, x_hi, y_lo, y_hi, eps: float):
     candidates are kept by the same closed test as a single query."""
     if np.any(x_lo > x_hi) or np.any(y_lo > y_hi):
         raise EmptyRange("inverted bounds in a rectangle batch")
-    pts = idx.point_map.values()
-    n, m = len(idx.point_map), len(x_lo)
-    xs = np.fromiter((p.x for p in pts), np.float64, n)
-    ys = np.fromiter((p.y for p in pts), np.float64, n)
+    n, m, xs, ys = idx.n_points, len(x_lo), idx.xs, idx.ys
     offsets = np.zeros(m + 1, np.int64)
     if n == 0 or m == 0:
         return offsets, np.zeros(0, np.int64)
     x_lo, x_hi, y_lo, y_hi = x_lo - eps, x_hi + eps, y_lo - eps, y_hi + eps
-    runs = _CellRuns.of(xs, ys, idx.cell_size)
     rows, hits = [], []
     for lo in range(0, m, _JOIN_BLOCK):
         hi = min(lo + _JOIN_BLOCK, m)
-        _, slot, hit = runs.lookup(x_lo[lo:hi], x_hi[lo:hi], y_lo[lo:hi], y_hi[lo:hi])
-        size = np.where(hit, runs.count[slot], 0)
+        _, slot, hit = _lookup(idx, x_lo[lo:hi], x_hi[lo:hi], y_lo[lo:hi], y_hi[lo:hi])
+        size = np.where(hit, idx.count[slot], 0)
         row = np.repeat(np.arange(lo, hi), size.sum(axis=1))
         size = size.ravel()
-        starts = runs.first[slot].ravel() - (np.cumsum(size) - size)
-        other = runs.by_cell[np.repeat(starts, size) + np.arange(len(row))]
+        starts = idx.first[slot].ravel() - (np.cumsum(size) - size)
+        other = idx.order[np.repeat(starts, size) + np.arange(len(row))]
         px, py = xs[other], ys[other]
         inside = (x_lo[row] <= px) & (px <= x_hi[row]) & (y_lo[row] <= py) & (py <= y_hi[row])
         rows.append(row[inside])
@@ -253,16 +256,12 @@ def range_query_disk(
         raise ValueError("radius must be >= 0")
     if center is None:
         return _all_disks(idx, radius, eps)
-    if not idx.point_map:
-        return []
     reach = radius + eps
+    x, y = center.x, center.y
+    ids, xs, ys = idx._lists[2:]
     out: list[int] = []
-    pmap = idx.point_map
-    for bucket in _cells(idx, center.x - reach, center.x + reach, center.y - reach, center.y + reach):
-        for pid in bucket:
-            p = pmap[pid]
-            if math.hypot(p.x - center.x, p.y - center.y) <= reach:
-                out.append(pid)
+    for lo, hi in _box_runs(idx, x - reach, x + reach, y - reach, y + reach):
+        out += [ids[i] for i in range(lo, hi) if math.hypot(xs[i] - x, ys[i] - y) <= reach]
     out.sort()
     return out
 
@@ -286,14 +285,10 @@ def range_query_rect(
         return _all_rects(idx, x_lo, x_hi, y_lo, y_hi, eps)
     if x_lo > x_hi or y_lo > y_hi:
         raise EmptyRange(f"inverted bounds: [{x_lo}, {x_hi}] x [{y_lo}, {y_hi}]")
-    if not idx.point_map:
-        return []
+    x_lo, x_hi, y_lo, y_hi = x_lo - eps, x_hi + eps, y_lo - eps, y_hi + eps
+    ids, xs, ys = idx._lists[2:]
     out: list[int] = []
-    pmap = idx.point_map
-    for bucket in _cells(idx, x_lo - eps, x_hi + eps, y_lo - eps, y_hi + eps):
-        for pid in bucket:
-            p = pmap[pid]
-            if x_lo - eps <= p.x <= x_hi + eps and y_lo - eps <= p.y <= y_hi + eps:
-                out.append(pid)
+    for lo, hi in _box_runs(idx, x_lo, x_hi, y_lo, y_hi):
+        out += [ids[i] for i in range(lo, hi) if x_lo <= xs[i] <= x_hi and y_lo <= ys[i] <= y_hi]
     out.sort()
     return out

@@ -13,9 +13,9 @@ from collections import deque
 from geosoc.baseline import oracle_gsc
 from geosoc.datagen import Distribution, GenSpec, attach_social_edges, generate
 from geosoc.framework import DetectionConfig, spatial_clusters
+from geosoc.gsc import CenterRect
 from geosoc.model import (
     DEFAULT_EPS,
-    CenterRect,
     GeoPoint,
     GeoSocialNetwork,
     SocialKind,

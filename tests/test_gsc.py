@@ -7,22 +7,22 @@ from geosoc import gsc
 from geosoc.baseline import min_enclosing_circle, oracle_gsc
 from geosoc.datagen import Distribution, GenSpec, generate
 from geosoc.gsc import (
+    CenterRect,
     ComparisonStats,
     EmptyCluster,
-    MissingCenterRect,
     PruneLevel,
     center_rect,
     find_gsc,
     global_spatial_clusters,
 )
-from geosoc.model import CenterRect, ClusterKind, GeoPoint, SpatialCluster
+from geosoc.model import ClusterKind, GeoPoint, SpatialCluster
 from geosoc.spatial_index import build_grid, range_query_disk
 from geosoc.sweep_exact import local_member_families, local_spatial_clusters
 from helpers import families, random_points, rects_intersect
 
 
-def cl(members, rect=None):
-    return SpatialCluster.from_members(members, min(members), ClusterKind.EXACT_CIRCLE, rect)
+def cl(members):
+    return SpatialCluster.from_members(members, min(members), ClusterKind.EXACT_CIRCLE)
 
 
 def test_center_rect_single_point():
@@ -76,12 +76,6 @@ def test_find_gsc_size_filter():
     assert families(out) == {(1, 2, 3), (4, 5)}
 
 
-def test_find_gsc_missing_rect_raises():
-    points = [GeoPoint(i, float(i), 0.0) for i in range(3)]
-    with pytest.raises(MissingCenterRect):
-        find_gsc([cl([0, 1])], k=1, prune_level=PruneLevel.RULE1_2, d=2.0, points=points)
-
-
 def test_find_gsc_rule1_needs_coordinates():
     with pytest.raises(ValueError):
         find_gsc([cl([0, 1])], k=1, prune_level=PruneLevel.RULE1)
@@ -89,10 +83,11 @@ def test_find_gsc_rule1_needs_coordinates():
 
 def _lsc_families(pts, d):
     grid = build_grid(pts, d)
+    pmap = {p.id: p for p in pts}
     out = []
     for v in pts:
         near = range_query_disk(grid, v, d)
-        cands = [grid.point_map[i] for i in near if i != v.id]
+        cands = [pmap[i] for i in near if i != v.id]
         out.extend(local_spatial_clusters(v, cands, d / 2))
     return out
 
@@ -102,18 +97,10 @@ def test_prune_levels_agree_on_random_lsc_families():
     for seed in range(50):
         pts = random_points(seed, 60 + seed, gaussian=bool(seed % 2))
         lscs = _lsc_families(pts, d)
-        pmap = {p.id: p for p in pts}
-        with_rects = [
-            SpatialCluster(
-                c.members, c.reference, c.kind,
-                center_rect([pmap[i] for i in c.members], d / 2),
-            )
-            for c in lscs
-        ]
         results = []
         counts = []
         for level in PruneLevel:
-            out, stats = find_gsc(with_rects, k=1, prune_level=level, d=d, points=pts)
+            out, stats = find_gsc(lscs, k=1, prune_level=level, d=d, points=pts)
             results.append(families(out))
             counts.append(stats.comparisons)
         assert results[0] == results[1] == results[2]
@@ -163,13 +150,7 @@ def test_global_matches_oracle_coincident_points_and_exact_d_pairs():
 
 
 def _sequential_count(pts, d, level):
-    lscs = _lsc_families(pts, d)
-    pmap = {p.id: p for p in pts}
-    with_rects = [
-        SpatialCluster(c.members, c.reference, c.kind, center_rect([pmap[i] for i in c.members], d / 2))
-        for c in lscs
-    ]
-    out, stats = find_gsc(with_rects, k=1, prune_level=level, d=d, points=pts)
+    out, stats = find_gsc(_lsc_families(pts, d), k=1, prune_level=level, d=d, points=pts)
     return families(out), stats.comparisons
 
 

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geosoc.model import GeoPoint
+from geosoc.model import DuplicateId, GeoPoint
 from geosoc.spatial_index import (
     EmptyRange,
     NonPositiveCellSize,
@@ -13,26 +14,43 @@ from geosoc.spatial_index import (
 from helpers import naive_disk, naive_rect, random_points
 
 
+def _cell_members(idx):
+    """Ids per cell (cx, cy), in cell order, read from the cell runs."""
+    out = {}
+    for key, first, count in zip(idx.cells.tolist(), idx.first.tolist(), idx.count.tolist()):
+        cell = (int(idx.columns[key // idx.width]), idx.rows[0] + key % idx.width)
+        out[cell] = idx.ids[idx.order[first : first + count]].tolist()
+    return out
+
+
 def test_bucket_assignment():
     idx = build_grid([GeoPoint(0, 0, 0), GeoPoint(1, 0.5, 0.5)], 1.0)
-    assert idx.buckets == {(0, 0): (0, 1)}
+    assert _cell_members(idx) == {(0, 0): [0, 1]}
     idx = build_grid([GeoPoint(0, 0, 0), GeoPoint(1, 1.5, 0)], 1.0)
-    assert set(idx.buckets) == {(0, 0), (1, 0)}
+    assert set(_cell_members(idx)) == {(0, 0), (1, 0)}
+    idx = build_grid([GeoPoint(0, -0.5, 2.0), GeoPoint(1, 3.0, -1.0), GeoPoint(2, -2.0, -0.1)], 1.0)
+    assert _cell_members(idx) == {(-1, 2): [0], (3, -1): [1], (-2, -1): [2]}
 
 
 def test_every_point_in_exactly_one_bucket():
     pts = random_points(3, 60)
     idx = build_grid(pts, 7.5)
-    ids = [pid for bucket in idx.buckets.values() for pid in bucket]
+    ids = [pid for members in _cell_members(idx).values() for pid in members]
     assert sorted(ids) == [p.id for p in pts]
+    assert idx.n_points == len(pts) == int(idx.count.sum())
 
 
 def test_empty_grid():
     idx = build_grid([], 1.0)
-    assert idx.buckets == {}
-    assert idx.bounds is None
+    assert idx.n_points == 0 and _cell_members(idx) == {}
     assert range_query_disk(idx, GeoPoint(0, 0, 0), 10) == []
     assert range_query_rect(idx, 0, 1, 0, 1) == []
+    assert len(range_query_disk(idx, None, 10)) == 0
+
+
+def test_duplicate_id():
+    with pytest.raises(DuplicateId):
+        build_grid([GeoPoint(4, 0, 0), GeoPoint(5, 1, 1), GeoPoint(4, 2, 2)], 1.0)
 
 
 def test_non_positive_cell_size():
@@ -94,8 +112,6 @@ def test_rect_matches_naive_scan_100_points():
 
 
 def test_thousand_random_query_pairs_match_naive_scans():
-    import numpy as np
-
     rng = np.random.default_rng(99)
     for batch in range(20):
         n = int(rng.integers(1, 120))
@@ -144,8 +160,6 @@ def test_rect_oracle_equivalence(seed, n, cell, x0, w, y0, h):
 
 
 def test_rect_batch_matches_single_queries():
-    import numpy as np
-
     rng = np.random.default_rng(7)
     for batch in range(12):
         n = int(rng.integers(1, 150))
@@ -159,15 +173,53 @@ def test_rect_batch_matches_single_queries():
         x_hi = x_lo + rng.uniform(0, 40, 60).round(batch % 2 * 3)
         y_hi = y_lo + rng.uniform(0, 40, 60).round(batch % 2 * 3)
         offsets, hits = range_query_rect(idx, x_lo, x_hi, y_lo, y_hi)
-        ids = [p.id for p in idx.point_map.values()]
+        ids = idx.ids.tolist()
         for i in range(60):
             got = sorted(ids[h] for h in hits[offsets[i] : offsets[i + 1]])
             assert got == range_query_rect(idx, x_lo[i], x_hi[i], y_lo[i], y_hi[i])
 
 
-def test_rect_batch_edge_cases():
-    import numpy as np
+def _disk_cases():
+    """(points, radius, eps) instances for the bulk and scalar disk queries."""
+    rng = np.random.default_rng(3)
+    for seed in range(6):
+        yield random_points(seed + 60, 20 + 25 * seed, gaussian=bool(seed % 2)), float(rng.uniform(2, 30)), 1e-9
+    # integer lattices put points on cell edges, and with no slack the pairs
+    # exactly the radius apart on the closed boundary
+    lattice = [GeoPoint(9 * a + b, float(a), float(b)) for a in range(9) for b in range(9)]
+    for radius in (1.0, 2.0, 5.0):
+        yield lattice, radius, 0.0
+    yield [GeoPoint(p.id, 3.0 * p.x, 3.0 * p.y) for p in lattice], 6.0, 1e-9
+    # coincident points
+    yield [GeoPoint(i, float(i % 3), 0.0) for i in range(12)], 1.0, 0.0
+    yield [GeoPoint(i, 5.0, 5.0) for i in range(7)], 0.0, 0.0
+    # negative coordinates, then a large shift
+    pts = random_points(71, 90)
+    yield [GeoPoint(p.id, p.x - 50.0, p.y - 50.0) for p in pts], 12.0, 1e-9
+    yield [GeoPoint(p.id, p.x + 1e6, p.y - 1e6) for p in pts], 12.0, 1e-9
+    # points so far apart, in cells so small, that cell numbers need 64 bits
+    yield [GeoPoint(0, 0.0, 0.0), GeoPoint(1, 5e-4, 0.0), GeoPoint(2, 1e7, 1e7), GeoPoint(3, 1e7, -1e7)], 1e-3, 1e-9
+    yield [], 5.0, 1e-9
+    yield [GeoPoint(8, -1.5, 2.5)], 5.0, 1e-9
 
+
+def test_disk_batch_matches_single_queries():
+    for pts, radius, eps in _disk_cases():
+        for cell in (radius or 1.0, 0.7 * (radius or 1.0)):
+            idx = build_grid(pts, cell)
+            nbhd = range_query_disk(idx, None, radius, eps)
+            assert len(nbhd.ids) == len(pts) and sorted(nbhd.order.tolist()) == list(range(len(pts)))
+            total = 0
+            for i in range(len(pts)):
+                row = nbhd.ids[nbhd.nbrs[nbhd.offsets[i] : nbhd.offsets[i + 1]]].tolist()
+                center = pts[nbhd.order[i]]
+                want = range_query_disk(idx, center, radius, eps)
+                assert row == want == naive_disk(pts, center, radius, eps)
+                total += len(want)
+            assert len(nbhd) == total
+
+
+def test_rect_batch_edge_cases():
     empty = build_grid([], 1.0)
     offsets, hits = range_query_rect(empty, np.zeros(2), np.ones(2), np.zeros(2), np.ones(2))
     assert offsets.tolist() == [0, 0, 0] and len(hits) == 0
