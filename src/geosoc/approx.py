@@ -5,17 +5,16 @@ Every covering square can be slid so its left edge touches the leftmost
 covered point, so processing points by ascending x and sweeping a height-d
 window over each point's right-hand slab finds every candidate.  The
 slabs come from one bulk range query and their windows are stabbed as
-whole arrays; a label registry over already-emitted clusters then answers
-containment by looking at just three extreme members, which keeps the
-global filter near-linear.
+whole arrays; labels on the members of the clusters already found then
+answer containment by looking at just three extreme members, which keeps
+the global filter near-linear.
 Output clusters have diameter at most sqrt(2) * d.
 """
 
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,33 +23,6 @@ from .spatial_index import build_grid, range_query_rect
 from .sweep_exact import spans as _spans
 
 _NO_LABELS: frozenset[int] = frozenset()
-
-
-@dataclass
-class GascRegistry:
-    """Labels of emitted clusters, indexed by member point id."""
-
-    points: Mapping[int, GeoPoint] = field(default_factory=dict)  # read by check_global only
-    node_gasc: dict[int, set[int]] = field(default_factory=dict)
-    next_label: int = 0
-
-    def register(self, cs: SpatialCluster) -> int:
-        return self.register_members(cs.members)
-
-    def register_members(self, members: Iterable[int]) -> int:
-        label = self.next_label
-        self.next_label += 1
-        node_gasc = self.node_gasc
-        for m in members:
-            bucket = node_gasc.get(m)
-            if bucket is None:
-                node_gasc[m] = {label}
-            else:
-                bucket.add(label)
-        return label
-
-    def labels(self, pid: int):
-        return self.node_gasc.get(pid, _NO_LABELS)
 
 
 def _windows(py, qy, d: float, eps: float):
@@ -87,78 +59,36 @@ def _stab(row: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray, k: int = 1):
     return group_row, np.repeat(np.arange(len(group_row)), width)[inside], window[inside]
 
 
-def local_approx_clusters(
-    p: GeoPoint,
-    slab: Iterable[GeoPoint],
-    d: float,
-    eps: float = DEFAULT_EPS,
-) -> list[SpatialCluster]:
-    """Maximal subsets of the slab coverable by a side-d square whose left
-    edge passes through p.
+def _check_extremes(labels: dict[int, set[int]], extremes: tuple[int, int, int]) -> bool:
+    """False when a labelled cluster contains the group with these lowest,
+    highest and rightmost member ids.
 
-    The square's horizontal extent is fixed at [p.x, p.x + d], so only the
-    top edge remains free; the maximal stabbing groups of the per-point
-    top-edge windows are exactly the answer, and every group contains p.
+    With points processed by ascending x, any square covering the group
+    has its left edge at or before the group's leftmost member, so every
+    potential container is already labelled, and one contains the group
+    exactly when those three extremes all carry its label.
     """
-    pts = list(slab)
-    if all(q.id != p.id for q in pts):
-        pts.append(p)
-    t_lo, t_hi = _windows(p.y, np.array([q.y for q in pts], np.float64), d, eps)
-    keep = np.flatnonzero(t_lo <= t_hi)
-    _, group, window = _stab(np.zeros(len(keep), np.int64), t_lo[keep], t_hi[keep])
-    groups: list[list[int]] = [[] for _ in range(int(group.max(initial=-1)) + 1)]
-    for g, i in zip(group.tolist(), keep[window].tolist()):
-        groups[g].append(pts[i].id)
-    clusters = [SpatialCluster.from_members(m, p.id, ClusterKind.APPROX_SQUARE) for m in groups]
-    clusters.sort(key=lambda c: c.members)
-    return clusters
-
-
-def _extreme_ids(points: Sequence[GeoPoint]) -> tuple[int, int, int]:
-    """Ids of the lowest, highest, and rightmost points (ties: smallest id)."""
-    min_y = max_y = max_x = points[0]
-    for q in points[1:]:
-        if q.y < min_y.y or (q.y == min_y.y and q.id < min_y.id):
-            min_y = q
-        if q.y > max_y.y or (q.y == max_y.y and q.id < max_y.id):
-            max_y = q
-        if q.x > max_x.x or (q.x == max_x.x and q.id < max_x.id):
-            max_x = q
-    return min_y.id, max_y.id, max_x.id
-
-
-def check_global(reg: GascRegistry, cs: SpatialCluster) -> bool:
-    """False when cs is contained in an already-registered cluster.
-
-    With points processed by ascending x, any square covering cs has its
-    left edge at or before min-x(cs), so every potential container is
-    already registered, and cs is contained in one exactly when its
-    lowest, highest, and rightmost members all carry a common label.
-    """
-    return _check_extremes(reg, _extreme_ids([reg.points[m] for m in cs.members]))
-
-
-def _check_extremes(reg: GascRegistry, extremes: tuple[int, int, int]) -> bool:
     min_y, max_y, max_x = extremes
-    first = reg.labels(min_y)
+    first = labels.get(min_y)
     if not first:
         return True
-    common = first & reg.labels(max_y)
+    common = first & labels.get(max_y, _NO_LABELS)
     if not common:
         return True
-    return not (common & reg.labels(max_x))
+    return not (common & labels.get(max_x, _NO_LABELS))
 
 
 _SWEEP_BLOCK = 4096
 
 
 def _global_members(points: Sequence[GeoPoint], d: float, k: int, eps: float):
-    """(members, reference id) of every global cluster of size >= k, in
-    processing order: by x, then y, then id of the reference point.
+    """The member tuples and reference ids of every global cluster of size
+    >= k, in processing order: by x, then y, then id of the reference point.
 
     Every slab comes from one bulk range query, and the local clusters
     are found a block of references at a time, which keeps the arrays
-    small; only the label registry walks cluster by cluster.
+    small; only the labelling walks cluster by cluster.  labels maps a
+    point id to the labels of the kept clusters holding it.
     """
     if d <= 0:
         raise ValueError("distance threshold d must be positive")
@@ -176,7 +106,9 @@ def _global_members(points: Sequence[GeoPoint], d: float, k: int, eps: float):
     for rank, by in zip(ranks, ranked):
         rank[by] = np.arange(n)
     x_of, id_of = xs.tolist(), ids.tolist()
-    reg = GascRegistry()
+    labels: dict[int, set[int]] = {}
+    found: list[tuple[int, ...]] = []
+    found_refs: list[int] = []
     stale = 0
     epoch_x: float | None = None
     same_x: list[tuple[int, ...]] = []
@@ -202,9 +134,9 @@ def _global_members(points: Sequence[GeoPoint], d: float, k: int, eps: float):
                 # a point left of this slab is in no later group, so its
                 # labels are never asked for again
                 while stale < r and x_of[stale] < x - eps:
-                    reg.node_gasc.pop(id_of[stale], None)
+                    labels.pop(id_of[stale], None)
                     stale += 1
-            if not _check_extremes(reg, (lowest[g], highest[g], rightmost[g])):
+            if not _check_extremes(labels, (lowest[g], highest[g], rightmost[g])):
                 continue
             members = tuple(flat[starts[g] : starts[g + 1]])
             # references sharing one x lack the strict left-to-right order;
@@ -214,23 +146,17 @@ def _global_members(points: Sequence[GeoPoint], d: float, k: int, eps: float):
                 if any(mset.issubset(other) for other in same_x):
                     continue
             same_x.append(members)
-            reg.register_members(members)
-            yield members, id_of[r]
-
-
-def iter_gasc(
-    points: Sequence[GeoPoint],
-    d: float,
-    k: int = 1,
-    eps: float = DEFAULT_EPS,
-) -> Iterator[SpatialCluster]:
-    """Stream all maximal square-coverable sets of size >= k.
-
-    Clusters are yielded as soon as they are known to be global, in
-    processing order (ascending x of the reference point).
-    """
-    for members, ref in _global_members(points, d, k, eps):
-        yield SpatialCluster(members, ref, ClusterKind.APPROX_SQUARE)
+            # a kept cluster's label is its place in found
+            label = len(found)
+            for m in members:
+                bucket = labels.get(m)
+                if bucket is None:
+                    labels[m] = {label}
+                else:
+                    bucket.add(label)
+            found.append(members)
+            found_refs.append(id_of[r])
+    return found, found_refs
 
 
 def find_gasc(
@@ -239,16 +165,15 @@ def find_gasc(
     k: int = 1,
     eps: float = DEFAULT_EPS,
 ) -> list[SpatialCluster]:
-    """All maximal square-coverable sets of size >= k (materialised)."""
+    """All maximal square-coverable sets of size >= k, in processing order
+    (ascending x of the reference point)."""
     # no reference cycles are made; a collection while the output grows
     # would only walk every live object
     collecting = gc.isenabled()
     gc.disable()
     try:
-        found = list(_global_members(points, d, k, eps))
+        members, refs = _global_members(points, d, k, eps)
     finally:
         if collecting:
             gc.enable()
-    return SpatialCluster._canonical_many(
-        [members for members, _ in found], [ref for _, ref in found], ClusterKind.APPROX_SQUARE
-    )
+    return SpatialCluster._canonical_many(members, refs, ClusterKind.APPROX_SQUARE)

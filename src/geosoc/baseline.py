@@ -21,7 +21,6 @@ from .model import (
     GeoSocError,
     SpatialCluster,
     euclidean_distance,
-    maximal_distinct,
 )
 from .spatial_index import build_grid, range_query_disk
 from .sweep_exact import TAU, TooFar
@@ -67,22 +66,24 @@ def oracle_lsc(
         thetas.append((angles[-1] + angles[0] + TAU) / 2)
     else:
         thetas = [0.0]
-    families: set[frozenset[int]] = set()
+    # bit i of a mask stands for cands[i]
+    masks: set[int] = set()
     for theta in thetas:
         cx = v.x + r * math.cos(theta)
         cy = v.y + r * math.sin(theta)
-        members = {u.id for u in cands if math.hypot(u.x - cx, u.y - cy) <= r + eps}
-        members.add(v.id)
-        families.add(frozenset(members))
+        masks.add(sum(1 << i for i, u in enumerate(cands) if math.hypot(u.x - cx, u.y - cy) <= r + eps))
     clusters = [
-        SpatialCluster.from_members(f, v.id, ClusterKind.EXACT_CIRCLE)
-        for f in maximal_distinct(families)
+        SpatialCluster.from_members([v.id] + [u.id for i, u in enumerate(cands) if m >> i & 1],
+                                    v.id, ClusterKind.EXACT_CIRCLE)
+        for m in maximal_masks(masks)
     ]
     clusters.sort(key=lambda c: c.members)
     return clusters
 
 
-def _maximal_masks(masks: Iterable[int]) -> list[int]:
+def maximal_masks(masks: Iterable[int]) -> list[int]:
+    """The distinct bitmasks that no other one contains, most bits first
+    (then by value): each mask is kept unless a kept one holds all its bits."""
     ordered = sorted(set(masks), key=lambda m: (-m.bit_count(), m))
     kept: list[int] = []
     for m in ordered:
@@ -146,7 +147,7 @@ def oracle_gsc(
                 first_seen[mask] = lo + i
 
     out = []
-    for mask in _maximal_masks(first_seen):
+    for mask in maximal_masks(first_seen):
         row = first_seen[mask]
         sel = np.hypot(xs - cxs[row], ys - cys[row]) <= reach
         members = sorted(int(i) for i in ids[sel])
@@ -197,7 +198,7 @@ def oracle_gasc(
                 first_seen[mask] = lo + i
 
     out = []
-    for mask in _maximal_masks(first_seen):
+    for mask in maximal_masks(first_seen):
         row = first_seen[mask]
         sel = (
             (xs >= lefts[row] - eps)

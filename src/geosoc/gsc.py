@@ -30,9 +30,10 @@ number of those comparisons without changing the result:
 * center-rectangle prune: a cluster's covering-circle centers live in a
   small rectangle, and containment forces the two rectangles to intersect.
 
-The sequential find_gsc over SpatialCluster lists keeps that filter as
-the reference; the bulk filter reports the comparison count it would make
-under the chosen prune level, derived from the final family.
+That element-wise filter, run cluster by cluster over a list of
+SpatialCluster objects, is kept as the sequential reference in
+tests/reference.py.  find_gsc reports the comparison count that filter
+makes under the chosen prune level, derived from the final family.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 import enum
 import gc
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -63,26 +64,10 @@ class EmptyCluster(GeoSocError):
 
 @dataclass
 class ComparisonStats:
-    """Element-wise subset comparisons of the sequential filter under the
-    prune level (made by it, or derived for it by the bulk filter)."""
+    """Element-wise subset comparisons that the paper's sequential filter
+    makes under the prune level (find_gsc derives the count)."""
 
     comparisons: int = 0
-
-
-@dataclass(frozen=True)
-class CenterRect:
-    """Axis-aligned rectangle of feasible covering-circle centers.
-
-    For members with coordinate extremes (x_min, x_max, y_min, y_max) and
-    radius r the rectangle is [x_max-r, x_min+r] x [y_max-r, y_min+r]; it
-    is non-empty (up to tolerance) exactly when a radius-r circle can
-    cover all members.
-    """
-
-    x_lo: float
-    x_hi: float
-    y_lo: float
-    y_hi: float
 
 
 @dataclass(frozen=True)
@@ -96,129 +81,28 @@ class ClusterTable:
     members: np.ndarray
 
 
-def center_rect(members: Sequence[GeoPoint] | ClusterTable, r: float):
-    """Feasible covering-circle centers for the given member points.
+def center_rect(members: ClusterTable, r: float):
+    """Feasible covering-circle centers of each set of the table.
 
-    For a ClusterTable the four bounds come back as arrays, one entry per
+    For a set with coordinate extremes (x_min, x_max, y_min, y_max) and
+    radius r they lie in [x_max - r, x_min + r] x [y_max - r, y_min + r],
+    which is non-empty (up to tolerance) exactly when a radius-r circle
+    can cover the set.  The four bounds come back as arrays, one entry per
     set, in the order x_lo, x_hi, y_lo, y_hi.
     """
-    if isinstance(members, ClusterTable):
-        starts = members.offsets[:-1]
-        if np.any(np.diff(members.offsets) == 0):
-            raise EmptyCluster("cannot build a center rectangle from zero points")
-        if not len(starts):
-            return (np.zeros(0),) * 4
-        xs = members.xs[members.members]
-        ys = members.ys[members.members]
-        return (
-            np.maximum.reduceat(xs, starts) - r,
-            np.minimum.reduceat(xs, starts) + r,
-            np.maximum.reduceat(ys, starts) - r,
-            np.minimum.reduceat(ys, starts) + r,
-        )
-    if not members:
+    starts = members.offsets[:-1]
+    if np.any(np.diff(members.offsets) == 0):
         raise EmptyCluster("cannot build a center rectangle from zero points")
-    xs = [p.x for p in members]
-    ys = [p.y for p in members]
-    return CenterRect(max(xs) - r, min(xs) + r, max(ys) - r, min(ys) + r)
-
-
-def find_gsc(
-    lscs: Iterable[SpatialCluster] | LocalFamilies,
-    k: int = 1,
-    prune_level: PruneLevel = PruneLevel.NONE,
-    d: float | None = None,
-    points: Iterable[GeoPoint] | Mapping[int, GeoPoint] | None = None,
-    eps: float = DEFAULT_EPS,
-) -> tuple[list[SpatialCluster], ComparisonStats]:
-    """Keep clusters of size >= k that are not contained in any other.
-
-    The output is identical for every prune level; only the comparison
-    count changes.  Given LocalFamilies, the filter is the bulk owner
-    check of the module docstring and needs only d.  Otherwise the
-    clusters are filtered one by one: reference-distance pruning needs d
-    and the point coordinates, from which rectangle pruning computes each
-    cluster's center rectangle.
-    """
-    if isinstance(lscs, LocalFamilies):
-        if d is None:
-            raise ValueError("the bulk filter needs d")
-        return _owner_filter(lscs, k, prune_level, d / 2, eps)
-    stats = ComparisonStats()
-    distinct: dict[tuple[int, ...], SpatialCluster] = {}
-    for c in lscs:
-        if len(c.members) < k:
-            continue
-        distinct.setdefault(c.members, c)
-    clusters = sorted(distinct.values(), key=lambda c: (-len(c.members), c.members))
-
-    use_ref = prune_level in (PruneLevel.RULE1, PruneLevel.RULE1_2)
-    use_rect = prune_level is PruneLevel.RULE1_2
-    near_refs: dict[int, Sequence[int]] = {}
-    ref_grid = None
-    pmap: dict[int, GeoPoint] = {}
-    if use_ref:
-        if d is None or points is None:
-            raise ValueError("reference pruning needs d and reference point coordinates")
-        pmap = dict(points) if isinstance(points, Mapping) else {p.id: p for p in points}
-        refs = sorted({c.reference for c in clusters})
-        if refs:
-            # queries must see every reference, so index them all
-            ref_grid = build_grid([pmap[rid] for rid in refs], d)
-
-    accepted_sets: list[frozenset[int]] = []
-    accepted_clusters: list[SpatialCluster] = []
-    accepted_rects: list[CenterRect] = []
-    by_ref: dict[int, list[int]] = {}
-    comparisons = 0
-    for c in clusters:
-        mset = frozenset(c.members)
-        if use_ref:
-            near = near_refs.get(c.reference)
-            if near is None:
-                near = range_query_disk(ref_grid, pmap[c.reference], d, eps)
-                near_refs[c.reference] = near
-            candidate_idx: list[int] = []
-            for rid in near:
-                hit = by_ref.get(rid)
-                if hit:
-                    candidate_idx.extend(hit)
-            candidate_idx.sort()
-        else:
-            candidate_idx = range(len(accepted_sets))
-        contained = False
-        if use_rect:
-            rect = center_rect([pmap[i] for i in c.members], d / 2)
-            x_lo, x_hi, y_lo, y_hi = rect.x_lo, rect.x_hi, rect.y_lo, rect.y_hi
-            for i in candidate_idx:
-                other = accepted_rects[i]
-                if (
-                    x_lo > other.x_hi + eps
-                    or other.x_lo > x_hi + eps
-                    or y_lo > other.y_hi + eps
-                    or other.y_lo > y_hi + eps
-                ):
-                    continue
-                comparisons += 1
-                if mset <= accepted_sets[i]:
-                    contained = True
-                    break
-        else:
-            for i in candidate_idx:
-                comparisons += 1
-                if mset <= accepted_sets[i]:
-                    contained = True
-                    break
-        if not contained:
-            by_ref.setdefault(c.reference, []).append(len(accepted_sets))
-            accepted_sets.append(mset)
-            accepted_clusters.append(c)
-            if use_rect:
-                accepted_rects.append(rect)
-
-    stats.comparisons = comparisons
-    out = sorted(accepted_clusters, key=lambda c: c.members)
-    return out, stats
+    if not len(starts):
+        return (np.zeros(0),) * 4
+    xs = members.xs[members.members]
+    ys = members.ys[members.members]
+    return (
+        np.maximum.reduceat(xs, starts) - r,
+        np.minimum.reduceat(xs, starts) + r,
+        np.maximum.reduceat(ys, starts) - r,
+        np.minimum.reduceat(ys, starts) + r,
+    )
 
 
 def _run_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -284,7 +168,21 @@ def _member_sets(fam: LocalFamilies, k: int, keys=_mix):
     return local_set, order, np.flatnonzero(new)
 
 
-def _owner_filter(fam: LocalFamilies, k: int, prune_level: PruneLevel, r: float, eps: float):
+def find_gsc(
+    fam: LocalFamilies,
+    k: int,
+    prune_level: PruneLevel,
+    d: float,
+    eps: float = DEFAULT_EPS,
+) -> tuple[list[SpatialCluster], ComparisonStats]:
+    """Keep the local clusters of size >= k that no other one contains.
+
+    The filter is the bulk owner check of the module docstring.  The
+    output is identical for every prune level; only the comparison count
+    changes: it is the count that the sequential filter of
+    tests/reference.py makes under prune_level, on the same clusters.
+    """
+    r = d / 2
     nbhd = fam.nbhd
     n = len(nbhd.ids)
     local_set, by_set, set_start = _member_sets(fam, k)
@@ -367,7 +265,7 @@ def _by_column(rows: np.ndarray, sizes: np.ndarray, n_cols: int):
 
 
 def _comparisons(prune_level, kept, chosen, set_ref, table, nbhd, r, eps):
-    """Subset comparisons the sequential find_gsc makes on these sets, and
+    """Subset comparisons the sequential filter makes on these sets, and
     which sets some kept set contains.
 
     chosen lists the kept sets in the sequential filter's order.  With the

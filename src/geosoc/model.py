@@ -200,14 +200,6 @@ class GeoSocialNetwork:
     def ids(self) -> tuple[int, ...]:
         return tuple(p.id for p in self.points)
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.points)
-
-    @property
-    def n_edges(self) -> int:
-        return sum(len(ns) for ns in self.adjacency.values()) // 2
-
     def point(self, pid: int) -> GeoPoint:
         try:
             return self.points[self.positions[pid]]
@@ -261,12 +253,3 @@ def build_network(
         adj[v].add(u)
     return GeoSocialNetwork(pts, {i: tuple(sorted(ns)) for i, ns in adj.items()})
 
-
-def maximal_distinct(sets: Iterable[frozenset]) -> list[frozenset]:
-    """Deduplicate and drop sets contained in another; larger sets first."""
-    ordered = sorted(set(sets), key=lambda s: (-len(s), tuple(sorted(s))))
-    kept: list[frozenset] = []
-    for s in ordered:
-        if not any(s <= t for t in kept):
-            kept.append(s)
-    return kept

@@ -2,8 +2,8 @@
 
 The grid is one table of cell runs, built in whole arrays: the points in
 cell order, the sorted cell keys, and each occupied cell's first point
-and count.  The scalar queries walk the runs of a query box's cell
-columns; the bulk ones look up every cell of many boxes at once.
+and count.  The scalar disk query walks the runs of its box's cell
+columns; the bulk queries look up every cell of many boxes at once.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ class EmptyRange(GeoSocError):
 
 @dataclass(frozen=True, eq=False)
 class GridIndex:
-    """Points in runs by grid cell; immutable (the scalar queries' list view
-    of the runs is built from the arrays on first use).
+    """Points in runs by grid cell; immutable (the scalar disk query's list
+    view of the runs is built from the arrays on first use).
 
     Point i (insertion order) has id ``ids[i]`` at ``(xs[i], ys[i])`` and
     lies in cell (floor(x / cell_size), floor(y / cell_size)).  A cell in
@@ -66,7 +66,7 @@ class GridIndex:
     @cached_property
     def _lists(self) -> tuple[list, list, list, list, list]:
         """Columns, then keys, ids, xs and ys in cell order, as lists for the
-        scalar queries."""
+        scalar disk query."""
         by_cell = self.order
         return (self.columns.tolist(), self.key.tolist(), self.ids[by_cell].tolist(),
                 self.xs[by_cell].tolist(), self.ys[by_cell].tolist())
@@ -216,34 +216,6 @@ def _all_disks(idx: GridIndex, radius: float, eps: float) -> Neighbours:
     return Neighbours(ids, sx, sy, by_cell, offsets, other[order], dist[order])
 
 
-def _all_rects(idx: GridIndex, x_lo, x_hi, y_lo, y_hi, eps: float):
-    """Many closed rectangle queries in one pass: every grid cell that
-    meets a rectangle is looked up for all rectangles at once, and the
-    candidates are kept by the same closed test as a single query."""
-    if np.any(x_lo > x_hi) or np.any(y_lo > y_hi):
-        raise EmptyRange("inverted bounds in a rectangle batch")
-    n, m, xs, ys = idx.n_points, len(x_lo), idx.xs, idx.ys
-    offsets = np.zeros(m + 1, np.int64)
-    if n == 0 or m == 0:
-        return offsets, np.zeros(0, np.int64)
-    x_lo, x_hi, y_lo, y_hi = x_lo - eps, x_hi + eps, y_lo - eps, y_hi + eps
-    rows, hits = [], []
-    for lo in range(0, m, _JOIN_BLOCK):
-        hi = min(lo + _JOIN_BLOCK, m)
-        _, slot, hit = _lookup(idx, x_lo[lo:hi], x_hi[lo:hi], y_lo[lo:hi], y_hi[lo:hi])
-        size = np.where(hit, idx.count[slot], 0)
-        row = np.repeat(np.arange(lo, hi), size.sum(axis=1))
-        size = size.ravel()
-        starts = idx.first[slot].ravel() - (np.cumsum(size) - size)
-        other = idx.order[np.repeat(starts, size) + np.arange(len(row))]
-        px, py = xs[other], ys[other]
-        inside = (x_lo[row] <= px) & (px <= x_hi[row]) & (y_lo[row] <= py) & (py <= y_hi[row])
-        rows.append(row[inside])
-        hits.append(other[inside])
-    np.cumsum(np.bincount(np.concatenate(rows), minlength=m), out=offsets[1:])
-    return offsets, np.concatenate(hits)
-
-
 def range_query_disk(
     idx: GridIndex, center: GeoPoint | None, radius: float, eps: float = DEFAULT_EPS
 ):
@@ -268,27 +240,39 @@ def range_query_disk(
 
 def range_query_rect(
     idx: GridIndex,
-    x_lo: float,
-    x_hi: float,
-    y_lo: float,
-    y_hi: float,
+    x_lo: np.ndarray,
+    x_hi: np.ndarray,
+    y_lo: np.ndarray,
+    y_hi: np.ndarray,
     eps: float = DEFAULT_EPS,
-) -> list[int]:
-    """Ids inside the closed rectangle (eps slack), ascending.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Many closed rectangle queries (eps slack) in one pass, one rectangle
+    per entry of the bound arrays.
 
-    With array bounds there is one rectangle per entry, all queried at
-    once, and the result is the CSR pair (offsets, hits): row i,
+    Every grid cell that meets a rectangle is looked up for all rectangles
+    at once.  The result is the CSR pair (offsets, hits): row i,
     ``hits[offsets[i]:offsets[i + 1]]``, holds the positions (in the
     index's insertion order) of the points inside rectangle i, unordered.
     """
-    if isinstance(x_lo, np.ndarray):
-        return _all_rects(idx, x_lo, x_hi, y_lo, y_hi, eps)
-    if x_lo > x_hi or y_lo > y_hi:
-        raise EmptyRange(f"inverted bounds: [{x_lo}, {x_hi}] x [{y_lo}, {y_hi}]")
+    if np.any(x_lo > x_hi) or np.any(y_lo > y_hi):
+        raise EmptyRange("inverted bounds in a rectangle batch")
+    n, m, xs, ys = idx.n_points, len(x_lo), idx.xs, idx.ys
+    offsets = np.zeros(m + 1, np.int64)
+    if n == 0 or m == 0:
+        return offsets, np.zeros(0, np.int64)
     x_lo, x_hi, y_lo, y_hi = x_lo - eps, x_hi + eps, y_lo - eps, y_hi + eps
-    ids, xs, ys = idx._lists[2:]
-    out: list[int] = []
-    for lo, hi in _box_runs(idx, x_lo, x_hi, y_lo, y_hi):
-        out += [ids[i] for i in range(lo, hi) if x_lo <= xs[i] <= x_hi and y_lo <= ys[i] <= y_hi]
-    out.sort()
-    return out
+    rows, hits = [], []
+    for lo in range(0, m, _JOIN_BLOCK):
+        hi = min(lo + _JOIN_BLOCK, m)
+        _, slot, hit = _lookup(idx, x_lo[lo:hi], x_hi[lo:hi], y_lo[lo:hi], y_hi[lo:hi])
+        size = np.where(hit, idx.count[slot], 0)
+        row = np.repeat(np.arange(lo, hi), size.sum(axis=1))
+        size = size.ravel()
+        starts = idx.first[slot].ravel() - (np.cumsum(size) - size)
+        other = idx.order[np.repeat(starts, size) + np.arange(len(row))]
+        px, py = xs[other], ys[other]
+        inside = (x_lo[row] <= px) & (px <= x_hi[row]) & (y_lo[row] <= py) & (py <= y_hi[row])
+        rows.append(row[inside])
+        hits.append(other[inside])
+    np.cumsum(np.bincount(np.concatenate(rows), minlength=m), out=offsets[1:])
+    return offsets, np.concatenate(hits)

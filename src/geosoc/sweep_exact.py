@@ -16,8 +16,9 @@ arrays: a reference's active set is a bitmask over its neighbour slots,
 and a running xor over its angle-sorted events yields the groups.  Where
 no two events are near each other, the windows are swept as arcs of the
 circle, which gives the same groups once each; the few references with
-near ties get their windows recomputed with math, as angular_interval
-does, and are swept on the doubled line exactly as defined.
+near ties get their windows recomputed with math's libm, as
+atan2(dy, dx) -/+ acos(min(1, dist / 2r)), and are swept on the doubled
+line exactly as defined.
 """
 
 from __future__ import annotations
@@ -43,30 +44,6 @@ TAU = 2.0 * math.pi
 
 class TooFar(GeoSocError):
     """Candidate point cannot be covered together with the reference."""
-
-
-@dataclass(frozen=True)
-class AngularInterval:
-    """Closed rotation-angle window during which one point stays enclosed."""
-
-    node: int
-    start: float
-    end: float
-    full_circle: bool = False
-
-
-def angular_interval(
-    v: GeoPoint, u: GeoPoint, r: float, eps: float = DEFAULT_EPS
-) -> AngularInterval:
-    """Window of center angles for which the circle through v encloses u."""
-    dist = euclidean_distance(v, u)
-    if dist > 2 * r + eps:
-        raise TooFar(f"point {u.id} is {dist:.6g} away from {v.id}, beyond 2r = {2 * r:.6g}")
-    if dist <= eps:
-        return AngularInterval(u.id, 0.0, TAU, full_circle=True)
-    alpha = math.atan2(u.y - v.y, u.x - v.x)
-    width = math.acos(min(1.0, max(0.0, dist / (2 * r))))
-    return AngularInterval(u.id, alpha - width, alpha + width)
 
 
 @dataclass(frozen=True)
@@ -111,7 +88,8 @@ def spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def _math_windows(xs, ys, row, other, two_r):
-    """Window bounds of the given pairs as angular_interval computes them."""
+    """Window bounds alpha -/+ acos(min(1, dist / two_r)) of the given
+    pairs, around the bearing alpha = atan2(dy, dx), with math's libm."""
     s = np.empty(len(row))
     e = np.empty(len(row))
     for t, (i, j) in enumerate(zip(row.tolist(), other.tolist())):
@@ -172,7 +150,7 @@ class _Sweep:
         self.words = (np.diff(nbhd.offsets) + 63) // 64
 
     def exact(self, windows: np.ndarray) -> None:
-        """Recompute the given windows with math, as angular_interval does."""
+        """Recompute the given windows with math (see _math_windows)."""
         if len(windows):
             self.s[windows], self.e[windows] = _math_windows(
                 self.nbhd.xs, self.nbhd.ys, self.row[windows], self.other[windows], self.two_r
@@ -387,8 +365,9 @@ def local_member_families(nbhd: Neighbours, r: float, eps: float = DEFAULT_EPS, 
     """All maximal sets coverable by a radius-r circle through each point.
 
     Every point whose neighbourhood holds at least min_size points (itself
-    included) is a reference.  Each other neighbour contributes one
-    angular window (see angular_interval), and all references are swept
+    included) is a reference.  Each other neighbour u at distance d_u
+    contributes the angular window of half-width acos(d_u / 2r) around its
+    bearing from the reference, and all references are swept
     at once as the module docstring describes.  Points within eps of the
     reference join every group.  Backs local_spatial_clusters and
     global_spatial_clusters.

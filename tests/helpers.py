@@ -10,10 +10,9 @@ import heapq
 import math
 from collections import deque
 
-from geosoc.baseline import oracle_gsc
+from geosoc.baseline import maximal_masks, oracle_gsc
 from geosoc.datagen import Distribution, GenSpec, attach_social_edges, generate
 from geosoc.framework import DetectionConfig, spatial_clusters
-from geosoc.gsc import CenterRect
 from geosoc.model import (
     DEFAULT_EPS,
     GeoPoint,
@@ -22,7 +21,8 @@ from geosoc.model import (
     build_network,
 )
 from geosoc.social import induced_subgraph, k_core_communities, k_truss_communities
-from geosoc.sweep_exact import TAU, AngularInterval, angular_interval
+from geosoc.sweep_exact import TAU
+from reference import AngularInterval, CenterRect, angular_interval
 
 
 def families(items) -> set[tuple[int, ...]]:
@@ -179,7 +179,9 @@ def brute_mcc_family(g: GeoSocialNetwork, d: float, k: int, eps=1e-9) -> set[tup
 
 def maximal_sets(sets: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
     """The member tuples not strictly contained in another one."""
-    return {m for m in sets if not any(m != o and set(m) <= set(o) for o in sets)}
+    bit = {pid: 1 << i for i, pid in enumerate(sorted({pid for m in sets for pid in m}))}
+    by_mask = {sum(map(bit.__getitem__, m)): m for m in sets}
+    return {by_mask[mask] for mask in maximal_masks(by_mask)}
 
 
 def unfiltered_mcc_family(g: GeoSocialNetwork, cfg: DetectionConfig) -> set[tuple[int, ...]]:

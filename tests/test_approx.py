@@ -1,18 +1,12 @@
 import math
-from types import GeneratorType
 
 import pytest
 
-from geosoc.approx import (
-    GascRegistry,
-    check_global,
-    find_gasc,
-    iter_gasc,
-    local_approx_clusters,
-)
+from geosoc.approx import _check_extremes, find_gasc
 from geosoc.baseline import oracle_gasc, oracle_gsc
-from geosoc.model import ClusterKind, GeoPoint, SpatialCluster, euclidean_distance
+from geosoc.model import GeoPoint, euclidean_distance
 from helpers import families, random_points
+from reference import local_approx_clusters, sequential_gasc
 
 SQRT2 = math.sqrt(2)
 
@@ -56,30 +50,23 @@ def test_local_every_cluster_contains_reference():
 
 
 def test_check_global_contained_singleton():
-    a, b = pt(1, 0, 0), pt(2, 0.5, 0.5)
-    reg = GascRegistry({1: a, 2: b})
-    reg.register(SpatialCluster.from_members([1, 2], 1, ClusterKind.APPROX_SQUARE))
-    cs = SpatialCluster.from_members([2], 2, ClusterKind.APPROX_SQUARE)
-    assert check_global(reg, cs) is False
+    # cluster 0 = {1, 2} is labelled; the group {2} lies inside it
+    labels = {1: {0}, 2: {0}}
+    assert _check_extremes(labels, (2, 2, 2)) is False
 
 
 def test_check_global_empty_registry():
-    reg = GascRegistry({1: pt(1, 0, 0)})
-    cs = SpatialCluster.from_members([1], 1, ClusterKind.APPROX_SQUARE)
-    assert check_global(reg, cs) is True
+    assert _check_extremes({}, (1, 1, 1)) is True
 
 
 def test_check_global_two_disjoint_containers_is_not_containment():
-    # b is shared by two registered clusters, but no single cluster holds
-    # all three extremes, so the candidate is genuinely new
-    a, b, c = pt(1, 0, 0), pt(2, 0.4, 0.6), pt(3, 0.8, 1.2)
-    reg = GascRegistry({1: a, 2: b, 3: c})
-    reg.register(SpatialCluster.from_members([1, 2], 1, ClusterKind.APPROX_SQUARE))
-    reg.register(SpatialCluster.from_members([2, 3], 2, ClusterKind.APPROX_SQUARE))
-    cs = SpatialCluster.from_members([1, 2, 3], 1, ClusterKind.APPROX_SQUARE)
-    assert check_global(reg, cs) is True
-    assert not {1, 2, 3} <= {1, 2}
-    assert not {1, 2, 3} <= {2, 3}
+    # b is shared by two labelled clusters, {1, 2} and {2, 3}, but no
+    # single cluster holds all three extremes of {1, 2, 3} (lowest 1,
+    # highest and rightmost 3), so the candidate is genuinely new
+    labels = {1: {0}, 2: {0, 1}, 3: {1}}
+    assert _check_extremes(labels, (1, 3, 3)) is True
+    assert _check_extremes(labels, (1, 2, 2)) is False
+    assert _check_extremes(labels, (2, 3, 3)) is False
 
 
 def test_find_gasc_diagonal_pair():
@@ -97,15 +84,6 @@ def test_find_gasc_two_groups():
 def test_find_gasc_just_out_of_reach():
     got = oracle_gasc([pt(0, 0, 0), pt(1, 1.01, 1.01)], 1.0)
     assert families(got) == {(0,), (1,)}
-
-
-def test_iter_gasc_streams():
-    pts = random_points(5, 40)
-    stream = iter_gasc(pts, 20.0)
-    assert isinstance(stream, GeneratorType)
-    first = next(stream)
-    rest = list(stream)
-    assert families([first] + rest) == families(find_gasc(pts, 20.0))
 
 
 def test_matches_oracle_random():
@@ -187,6 +165,18 @@ def test_label_filter_agrees_with_brute_force_subset_filter():
             if not any(s < other for other in all_local)
         }
         assert families(find_gasc(pts, d)) == brute
+
+
+def test_find_gasc_matches_the_sequential_sweep():
+    # the same clusters with the same references, on random points and on
+    # an integer grid full of equal x and exact ties
+    grid = [pt(5 * x + y, float(x), float(y)) for x in range(4) for y in range(5)]
+    cases = [(random_points(seed + 30, 100, gaussian=bool(seed % 2)), 25.0) for seed in range(4)]
+    cases += [(grid, 1.0), (grid, 2.0)]
+    for pts, d in cases:
+        for k in (1, 3):
+            want = {(c.members, c.reference) for c in sequential_gasc(pts, d, k)}
+            assert {(c.members, c.reference) for c in find_gasc(pts, d, k)} == want, (d, k)
 
 
 def test_mutual_non_containment():

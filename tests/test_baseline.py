@@ -8,6 +8,7 @@ from geosoc.baseline import (
     CliqueBudgetExceeded,
     EmptyInput,
     clique_clusters,
+    maximal_masks,
     min_enclosing_circle,
     oracle_gasc,
     oracle_gsc,
@@ -20,6 +21,12 @@ from helpers import families, random_points
 
 def pt(i, x, y):
     return GeoPoint(i, x, y)
+
+
+def test_maximal_masks():
+    sets = [{1, 2, 3}, {2, 3}, {4, 5}, {2, 3}]
+    masks = [sum(1 << i for i in s) for s in sets]
+    assert maximal_masks(masks) == [masks[0], masks[2]]
 
 
 def test_oracle_lsc_merged_pair():

@@ -7,49 +7,67 @@ from geosoc import gsc
 from geosoc.baseline import min_enclosing_circle, oracle_gsc
 from geosoc.datagen import Distribution, GenSpec, generate
 from geosoc.gsc import (
-    CenterRect,
+    ClusterTable,
     ComparisonStats,
     EmptyCluster,
     PruneLevel,
     center_rect,
-    find_gsc,
     global_spatial_clusters,
 )
 from geosoc.model import ClusterKind, GeoPoint, SpatialCluster
 from geosoc.spatial_index import build_grid, range_query_disk
 from geosoc.sweep_exact import local_member_families, local_spatial_clusters
 from helpers import families, random_points, rects_intersect
+from reference import CenterRect, find_gsc
+from reference import center_rect as reference_rect
 
 
 def cl(members):
     return SpatialCluster.from_members(members, min(members), ClusterKind.EXACT_CIRCLE)
 
 
+def table_rects(groups, r):
+    """center_rect over a ClusterTable holding the given point lists, as
+    CenterRects; each is checked against the reference's."""
+    pts = [p for g in groups for p in g]
+    offsets = np.cumsum([0] + [len(g) for g in groups], dtype=np.int64)
+    table = ClusterTable(
+        np.array([p.x for p in pts], np.float64),
+        np.array([p.y for p in pts], np.float64),
+        offsets,
+        np.arange(len(pts)),
+    )
+    got = [CenterRect(*map(float, bounds)) for bounds in zip(*center_rect(table, r))]
+    assert got == [reference_rect(g, r) for g in groups]
+    return got
+
+
 def test_center_rect_single_point():
-    got = center_rect([GeoPoint(0, 2.0, 3.0)], 1.0)
-    assert got == CenterRect(1.0, 3.0, 2.0, 4.0)
+    assert table_rects([[GeoPoint(0, 2.0, 3.0)]], 1.0) == [CenterRect(1.0, 3.0, 2.0, 4.0)]
 
 
 def test_center_rect_diameter_pair_degenerates():
-    got = center_rect([GeoPoint(0, 0, 0), GeoPoint(1, 2, 0)], 1.0)
-    assert got == CenterRect(1.0, 1.0, -1.0, 1.0)
+    got = table_rects([[GeoPoint(0, 0, 0), GeoPoint(1, 2, 0)]], 1.0)
+    assert got == [CenterRect(1.0, 1.0, -1.0, 1.0)]
 
 
 def test_center_rect_three_points():
-    got = center_rect([GeoPoint(0, 0, 0), GeoPoint(1, 1, 0), GeoPoint(2, 0, 1)], 1.0)
-    assert got == CenterRect(0.0, 1.0, 0.0, 1.0)
+    got = table_rects([[GeoPoint(0, 0, 0), GeoPoint(1, 1, 0), GeoPoint(2, 0, 1)]], 1.0)
+    assert got == [CenterRect(0.0, 1.0, 0.0, 1.0)]
 
 
 def test_center_rect_empty():
     with pytest.raises(EmptyCluster):
-        center_rect([], 1.0)
+        table_rects([[GeoPoint(0, 0, 0)], []], 1.0)
+    with pytest.raises(EmptyCluster):
+        reference_rect([], 1.0)
+    assert table_rects([], 1.0) == []
 
 
 def test_center_rect_nonempty_for_coverable_clusters():
     pts = random_points(4, 80)
-    for c in oracle_gsc(pts, 20.0):
-        members = [pts[i] for i in c.members]
-        rect = center_rect(members, 10.0)
+    groups = [[pts[i] for i in c.members] for c in oracle_gsc(pts, 20.0)]
+    for rect in table_rects(groups, 10.0):
         assert rect.x_lo <= rect.x_hi + 1e-9
         assert rect.y_lo <= rect.y_hi + 1e-9
 

@@ -15,7 +15,6 @@ from geosoc.model import (
     UnknownVertex,
     build_network,
     euclidean_distance,
-    maximal_distinct,
 )
 
 
@@ -141,11 +140,6 @@ def test_subnetwork_unknown_vertex():
         net.subnetwork([2, 4, 7])
     with pytest.raises(UnknownVertex):
         net.subnetwork(i for i in (0, 99))
-
-
-def test_maximal_distinct():
-    sets = [frozenset({1, 2, 3}), frozenset({2, 3}), frozenset({4, 5}), frozenset({2, 3})]
-    assert set(maximal_distinct(sets)) == {frozenset({1, 2, 3}), frozenset({4, 5})}
 
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)

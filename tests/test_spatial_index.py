@@ -23,6 +23,14 @@ def _cell_members(idx):
     return out
 
 
+def rect_ids(idx, x_lo, x_hi, y_lo, y_hi, eps=1e-9):
+    """Ids inside one closed rectangle, ascending, from a one-row batch."""
+    bounds = (np.array([v], np.float64) for v in (x_lo, x_hi, y_lo, y_hi))
+    offsets, hits = range_query_rect(idx, *bounds, eps)
+    assert offsets.tolist() == [0, len(hits)]
+    return sorted(idx.ids[hits].tolist())
+
+
 def test_bucket_assignment():
     idx = build_grid([GeoPoint(0, 0, 0), GeoPoint(1, 0.5, 0.5)], 1.0)
     assert _cell_members(idx) == {(0, 0): [0, 1]}
@@ -44,7 +52,7 @@ def test_empty_grid():
     idx = build_grid([], 1.0)
     assert idx.n_points == 0 and _cell_members(idx) == {}
     assert range_query_disk(idx, GeoPoint(0, 0, 0), 10) == []
-    assert range_query_rect(idx, 0, 1, 0, 1) == []
+    assert rect_ids(idx, 0, 1, 0, 1) == []
     assert len(range_query_disk(idx, None, 10)) == 0
 
 
@@ -75,21 +83,21 @@ def test_disk_radius_zero():
 def test_rect_closed_boundaries():
     pts = [GeoPoint(0, 0, 0), GeoPoint(1, 1, 1), GeoPoint(2, 2, 2)]
     idx = build_grid(pts, 1.0)
-    assert range_query_rect(idx, 0, 1, 0, 1) == [0, 1]
+    assert rect_ids(idx, 0, 1, 0, 1) == [0, 1] == naive_rect(pts, 0, 1, 0, 1)
 
 
 def test_rect_degenerate_segment():
     pts = [GeoPoint(0, 1, 0), GeoPoint(1, 1, 2), GeoPoint(2, 1.2, 1)]
     idx = build_grid(pts, 1.0)
-    assert range_query_rect(idx, 1, 1, 0, 2) == [0, 1]
+    assert rect_ids(idx, 1, 1, 0, 2) == [0, 1] == naive_rect(pts, 1, 1, 0, 2)
 
 
 def test_rect_empty_range():
     idx = build_grid([GeoPoint(0, 0, 0)], 1.0)
     with pytest.raises(EmptyRange):
-        range_query_rect(idx, 2, 1, 0, 1)
+        rect_ids(idx, 2, 1, 0, 1)
     with pytest.raises(EmptyRange):
-        range_query_rect(idx, 0, 1, 3, 1)
+        rect_ids(idx, 0, 1, 3, 1)
 
 
 def test_disk_negative_radius():
@@ -108,7 +116,7 @@ def test_disk_matches_naive_scan_100_points():
 def test_rect_matches_naive_scan_100_points():
     pts = random_points(12, 100)
     idx = build_grid(pts, 12.0)
-    assert range_query_rect(idx, 10, 60, 20, 90) == naive_rect(pts, 10, 60, 20, 90)
+    assert rect_ids(idx, 10, 60, 20, 90) == naive_rect(pts, 10, 60, 20, 90)
 
 
 def test_thousand_random_query_pairs_match_naive_scans():
@@ -123,7 +131,7 @@ def test_thousand_random_query_pairs_match_naive_scans():
             assert range_query_disk(idx, center, radius) == naive_disk(pts, center, radius)
             x0, y0 = float(rng.uniform(-20, 100)), float(rng.uniform(-20, 100))
             w, h = float(rng.uniform(0, 80)), float(rng.uniform(0, 80))
-            assert range_query_rect(idx, x0, x0 + w, y0, y0 + h) == naive_rect(
+            assert rect_ids(idx, x0, x0 + w, y0, y0 + h) == naive_rect(
                 pts, x0, x0 + w, y0, y0 + h
             )
 
@@ -155,7 +163,7 @@ def test_disk_oracle_equivalence(seed, n, cell, radius):
 def test_rect_oracle_equivalence(seed, n, cell, x0, w, y0, h):
     pts = random_points(seed, n)
     idx = build_grid(pts, cell)
-    got = range_query_rect(idx, x0, x0 + w, y0, y0 + h)
+    got = rect_ids(idx, x0, x0 + w, y0, y0 + h)
     assert got == naive_rect(pts, x0, x0 + w, y0, y0 + h)
 
 
@@ -176,7 +184,7 @@ def test_rect_batch_matches_single_queries():
         ids = idx.ids.tolist()
         for i in range(60):
             got = sorted(ids[h] for h in hits[offsets[i] : offsets[i + 1]])
-            assert got == range_query_rect(idx, x_lo[i], x_hi[i], y_lo[i], y_hi[i])
+            assert got == naive_rect(pts, x_lo[i], x_hi[i], y_lo[i], y_hi[i])
 
 
 def _disk_cases():

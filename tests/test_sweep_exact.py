@@ -5,8 +5,9 @@ import pytest
 
 from geosoc.baseline import oracle_lsc
 from geosoc.model import GeoPoint, euclidean_distance
-from geosoc.sweep_exact import TAU, TooFar, angular_interval, local_spatial_clusters
+from geosoc.sweep_exact import TAU, TooFar, local_spatial_clusters
 from helpers import circle_center, families, window_contains, witness_angle
+from reference import angular_interval
 
 V = GeoPoint(0, 0.0, 0.0)
 
