@@ -114,8 +114,10 @@ def oracle_gsc(
         return []
     r = d / 2
     ids = np.array([p.id for p in pts], dtype=np.int64)
-    xs = np.array([p.x for p in pts], dtype=np.float64)
-    ys = np.array([p.y for p in pts], dtype=np.float64)
+    # centred on the first point: far from the origin, absolute circle
+    # centres would be spaced more coarsely than eps
+    xs = np.array([p.x for p in pts], dtype=np.float64) - pts[0].x
+    ys = np.array([p.y for p in pts], dtype=np.float64) - pts[0].y
     n = len(pts)
     center_xs = [xs]
     center_ys = [ys]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import time
+import traceback
 from dataclasses import dataclass
 from itertools import product
 import numpy as np
@@ -37,25 +38,25 @@ class BenchCell:
     locations: str | None
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunReport:
-    algo: str
-    dataset: str
+    """A cell and what its child measured: the point count, wall seconds,
+    subset comparisons (exact modes), cluster count and cell status."""
+
+    cell: BenchCell
     n: int
-    density: float | None
-    d: float
-    k: int
     seconds: float
     comparisons: int | None
     clusters: int | None
     status: str
 
     def csv_row(self) -> str:
-        density = "" if self.density is None else f"{self.density:g}"
+        c = self.cell
+        density = "" if c.density is None else f"{c.density:g}"
         comparisons = "" if self.comparisons is None else str(self.comparisons)
         clusters = "" if self.clusters is None else str(self.clusters)
         return (
-            f"{self.algo},{self.dataset},{self.n},{density},{self.d:g},{self.k},"
+            f"{c.algo},{c.dataset},{self.n},{density},{c.d:g},{c.k},"
             f"{self.seconds:.6f},{comparisons},{clusters},{self.status}"
         )
 
@@ -81,10 +82,13 @@ class BenchConfig:
                 raise ValueError(f"unknown algorithm label {algo!r}")
         if self.locations is None and not self.ns:
             raise ValueError("synthetic sweeps need at least one n")
+        for ratio in self.ratios:
+            if not 0.0 < ratio <= 1.0:
+                raise ValueError(f"sample ratio {ratio:g} is outside (0, 1]")
 
 
 def _sample_ratio(points: list[GeoPoint], ratio: float, seed: int) -> list[GeoPoint]:
-    if ratio >= 1.0:
+    if ratio == 1.0:
         return points
     rng = np.random.Generator(np.random.Philox(seed))
     m = max(1, int(round(ratio * len(points))))
@@ -94,13 +98,12 @@ def _sample_ratio(points: list[GeoPoint], ratio: float, seed: int) -> list[GeoPo
 
 def _cell_points(cell: BenchCell) -> list[GeoPoint]:
     if cell.locations is not None:
-        points = load_locations(cell.locations)
-        return _sample_ratio(points, cell.ratio if cell.ratio is not None else 1.0, cell.seed)
-    spec = GenSpec(cell.n, cell.density, cell.distribution, seed=cell.seed)
-    return generate(spec)
+        return _sample_ratio(load_locations(cell.locations), cell.ratio, cell.seed)
+    return generate(GenSpec(cell.n, cell.density, cell.distribution, seed=cell.seed))
 
 
 def _execute(cell: BenchCell, clique_budget: int | None):
+    """Measure one cell: (n, seconds, comparisons, clusters, status)."""
     points = _cell_points(cell)
     cfg = DetectionConfig(Params(cell.d, cell.k), SpatialAlgo(cell.algo), clique_budget)
     stats = ComparisonStats()
@@ -108,37 +111,37 @@ def _execute(cell: BenchCell, clique_budget: int | None):
     clusters = spatial_clusters(points, cfg, stats_out=stats)
     seconds = time.perf_counter() - start
     comparisons = stats.comparisons if cfg.spatial_algo in PRUNE_OF else None
-    return seconds, len(points), len(clusters), comparisons
+    return len(points), seconds, comparisons, len(clusters), "ok"
 
 
 def _child(cell: BenchCell, clique_budget: int | None, conn) -> None:
     try:
-        seconds, n, n_clusters, comparisons = _execute(cell, clique_budget)
-        conn.send(("ok", seconds, n, n_clusters, comparisons))
-    except CliqueBudgetExceeded as exc:
-        conn.send(("budget", str(exc)))
-    except Exception as exc:  # noqa: BLE001 - a cell failure must not kill the sweep
-        conn.send(("error", f"{type(exc).__name__}: {exc}"))
+        conn.send(_execute(cell, clique_budget))
+    except CliqueBudgetExceeded:
+        conn.send((cell.n, 0.0, None, None, "budget"))
+    except Exception:  # noqa: BLE001 - a cell failure must not kill the sweep
+        traceback.print_exc()
+        conn.send((cell.n, 0.0, None, None, "error"))
     finally:
         conn.close()
 
 
 def _grid(cfg: BenchConfig) -> list[BenchCell]:
-    cells = []
+    """Cells in algos x ns x densities x ratios x ds order; a location file
+    has no n or density, a synthetic sweep no ratio."""
     if cfg.locations is not None:
-        dataset = str(cfg.locations).rsplit("/", 1)[-1]
-        ratios = cfg.ratios or (1.0,)
-        for algo, ratio, d in product(cfg.algos, ratios, cfg.ds):
-            cells.append(
-                BenchCell(algo, dataset, 0, None, d, cfg.k, cfg.seed, None, ratio, str(cfg.locations))
-            )
+        locations = str(cfg.locations)
+        dataset = locations.rsplit("/", 1)[-1]
+        ns, densities, ratios = (0,), (None,), cfg.ratios or (1.0,)
+        distribution = None
     else:
         dataset = cfg.distribution.value
-        for algo, n, density, d in product(cfg.algos, cfg.ns, cfg.densities, cfg.ds):
-            cells.append(
-                BenchCell(algo, dataset, n, density, d, cfg.k, cfg.seed, cfg.distribution, None, None)
-            )
-    return cells
+        ns, densities, ratios = cfg.ns, cfg.densities, (None,)
+        distribution, locations = cfg.distribution, None
+    return [
+        BenchCell(algo, dataset, n, density, d, cfg.k, cfg.seed, distribution, ratio, locations)
+        for algo, n, density, ratio, d in product(cfg.algos, ns, densities, ratios, cfg.ds)
+    ]
 
 
 def run_bench(cfg: BenchConfig, out_path) -> list[RunReport]:
@@ -150,38 +153,14 @@ def run_bench(cfg: BenchConfig, out_path) -> list[RunReport]:
         proc = ctx.Process(target=_child, args=(cell, cfg.clique_budget, child_conn))
         proc.start()
         child_conn.close()
-        n = cell.n
-        seconds = cfg.timeout_s
-        comparisons: int | None = None
-        clusters: int | None = None
         if parent_conn.poll(cfg.timeout_s):
-            msg = parent_conn.recv()
-            proc.join()
-            if msg[0] == "ok":
-                status = "ok"
-                _, seconds, n, clusters, comparisons = msg
-            else:
-                status = msg[0]  # "budget" or "error"
-                seconds = 0.0
+            measured = parent_conn.recv()
         else:
             proc.terminate()
-            proc.join()
-            status = "timeout"
+            measured = (cell.n, cfg.timeout_s, None, None, "timeout")
+        proc.join()
         parent_conn.close()
-        reports.append(
-            RunReport(
-                cell.algo,
-                cell.dataset,
-                n,
-                cell.density,
-                cell.d,
-                cell.k,
-                seconds,
-                comparisons,
-                clusters,
-                status,
-            )
-        )
+        reports.append(RunReport(cell, *measured))
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
         for report in reports:

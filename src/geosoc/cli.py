@@ -106,8 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--k", type=int, required=True)
         cmd.add_argument("--social", choices=[s.value for s in SocialKind], default="core")
         cmd.add_argument("--algo", choices=[a.value for a in SpatialAlgo], default="exact-r12")
-        cmd.add_argument("--precluster", action="store_true",
-                         help="no effect: the social pre-filter always runs")
         cmd.add_argument("--threads", type=int, default=1,
                          help="no effect: detection runs in one thread")
         cmd.add_argument("--clique-budget", type=int, default=5_000_000)

@@ -153,18 +153,71 @@ def test_bench_grid_rows(tmp_path):
 
 
 def test_bench_rule2_never_compares_more_than_rule1(tmp_path):
+    # the pruning experiment: the rules change how many subset
+    # comparisons the filter makes, never the clusters it keeps
     out = tmp_path / "bench.csv"
     res = run_cli(
-        "bench", "--algos", "exact-r1,exact-r12", "--n", "300,600",
+        "bench", "--algos", "exact,exact-r1,exact-r12", "--n", "300,600",
         "--d", 30, "--seed", 2, "--out", out,
     )
     assert res.returncode == 0, res.stderr
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    by_algo = {}
+    by_n = {}
     for cells in rows:
-        by_algo.setdefault(cells[0], {})[cells[2]] = int(cells[7])
-    for n, comparisons in by_algo["exact-r12"].items():
-        assert comparisons <= by_algo["exact-r1"][n]
+        by_n.setdefault(cells[2], {})[cells[0]] = (int(cells[7]), int(cells[8]))
+    assert sorted(by_n) == ["300", "600"]
+    for n, got in by_n.items():
+        (c0, k0), (c1, k1), (c12, k12) = got["exact"], got["exact-r1"], got["exact-r12"]
+        assert k0 == k1 == k12, n
+        assert c0 >= c1 >= c12, n
+
+
+def test_bench_location_file_rows(tmp_path):
+    loc = tmp_path / "pts.tsv"
+    assert run_cli("gen", "--n", 400, "--seed", 5, "--out", loc).returncode == 0
+    out = tmp_path / "bench.csv"
+    res = run_cli(
+        "bench", "--locations", loc, "--ratios", "0.5,1", "--d", "20,30", "--out", out,
+    )
+    assert res.returncode == 0, res.stderr
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(r[0], r[2], r[4]) for r in rows] == [
+        (algo, n, d) for algo in ("exact-r12", "approx") for n in ("200", "400") for d in ("20", "30")
+    ]
+    assert all(r[1] == "pts.tsv" and r[3] == "" and r[-1] == "ok" for r in rows)
+
+
+@pytest.mark.parametrize("ratio", ["0", "-0.5", "1.5"])
+def test_bench_rejects_a_ratio_outside_the_unit_interval(tmp_path, ratio):
+    loc = tmp_path / "pts.tsv"
+    loc.write_text("0\t0\t0\n1\t1\t1\n", encoding="utf-8")
+    out = tmp_path / "bench.csv"
+    res = run_cli("bench", "--locations", loc, f"--ratios={ratio}", "--d", 30, "--out", out)
+    assert res.returncode == 1
+    assert "ratio" in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "search"])
+def test_precluster_is_not_an_option(tmp_path, dataset, command):
+    loc, edg = dataset
+    query = ("--query", 0) if command == "search" else ()
+    res = run_cli(
+        command, "--locations", loc, "--edges", edg, "--d", 30, "--k", 2, *query,
+        "--precluster", "--out", tmp_path / "o.jsonl",
+    )
+    assert res.returncode == 2
+    assert "--precluster" in res.stderr
+
+
+def test_bench_error_row_reports_its_cause(tmp_path):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("0\tx\ty\n", encoding="utf-8")
+    out = tmp_path / "bench.csv"
+    res = run_cli("bench", "--locations", bad, "--algos", "approx", "--d", 30, "--out", out)
+    assert res.returncode == 1
+    assert out.read_text().splitlines()[1].endswith(",error")
+    assert "ParseError" in res.stderr
 
 
 def test_bench_timeout_row(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from geosoc import gsc
 from geosoc.baseline import min_enclosing_circle, oracle_gsc
@@ -165,6 +167,35 @@ def test_global_matches_oracle_coincident_points_and_exact_d_pairs():
     assert families(global_spatial_clusters(pts, 30.0)) == families(oracle_gsc(pts, 30.0))
     far = [GeoPoint(p.id, 1000.0 + p.x / 10, p.y / 10 - 500.0) for p in pts]
     assert families(global_spatial_clusters(far, 3.0)) == families(oracle_gsc(far, 3.0))
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(20, 80),
+    d=st.sampled_from([10.0, 15.0, 20.0]),
+    shift=st.tuples(st.floats(-1e7, 1e7), st.floats(-1e7, 1e7)),
+)
+def test_global_matches_oracle_under_translation(seed, n, d, shift):
+    # near 1e7 the float spacing (about 1.9e-9) exceeds eps, so each path
+    # must work on coordinates relative to the input, not absolute ones
+    xy = np.random.default_rng(seed).uniform(0, 60, (n, 2)) + shift
+    pts = [GeoPoint(i, float(x), float(y)) for i, (x, y) in enumerate(xy)]
+    assert families(global_spatial_clusters(pts, d)) == families(oracle_gsc(pts, d))
+
+
+@given(
+    cells=st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=2, max_size=40),
+    doubled=st.integers(0, 3),
+    d=st.sampled_from([2.0, 4.0, 5.0]),
+    shift=st.tuples(st.integers(-10**7, 10**7), st.integers(-10**7, 10**7)),
+)
+def test_global_matches_oracle_on_shifted_integer_lattices(cells, doubled, d, shift):
+    # integer coordinates stay exact under an integer shift, so axis pairs
+    # 2 or 4 apart and 3-4-5 pairs stay exactly d apart
+    xy = sorted(cells)
+    xy += xy[:doubled]
+    pts = [GeoPoint(i, float(x + shift[0]), float(y + shift[1])) for i, (x, y) in enumerate(xy)]
+    assert families(global_spatial_clusters(pts, d)) == families(oracle_gsc(pts, d))
 
 
 def _sequential_count(pts, d, level):

@@ -63,3 +63,16 @@ def test_tracer_hooks_fire_on_detect_and_search():
         "framework.search_mccs",
     } <= set(out["spans"])
     assert out["counts"]["gsc.comparisons"] > 0
+
+
+def test_bench_pairs_prints_its_usage():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), "--help"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: bench_pairs.py")
+    for option in ("--parent", "--change", "--workload", "--pairs", "--label"):
+        assert option in proc.stdout
