@@ -120,12 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--algos", type=_csv_list(str), default=("exact-r12", "approx"),
                        help=f"comma list from {', '.join(a.value for a in SpatialAlgo)}")
     bench.add_argument("--n", type=_csv_list(int), default=(), dest="ns")
-    bench.add_argument("--densities", type=_csv_list(float), default=(0.008,))
+    bench.add_argument("--densities", type=_csv_list(float))
     bench.add_argument("--d", type=_csv_list(float), default=(30.0,), dest="ds")
     bench.add_argument("--ratios", type=_csv_list(float), default=())
     bench.add_argument("--k", type=int, default=1)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--distribution", choices=[d.value for d in Distribution], default="uniform")
+    bench.add_argument("--distribution", choices=[d.value for d in Distribution])
     bench.add_argument("--locations", help="benchmark a real location file instead of synthetic data")
     bench.add_argument("--timeout-s", type=float, default=8000.0)
     bench.add_argument("--clique-budget", type=int, default=5_000_000)
@@ -201,15 +201,19 @@ def cmd_search(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.locations is not None:
+        for option in ("densities", "distribution"):
+            if getattr(args, option) is not None:
+                raise ValueError(f"--{option} goes with synthetic sweeps only, not with --locations")
     cfg = BenchConfig(
         algos=tuple(args.algos),
         ds=tuple(args.ds),
         ns=tuple(args.ns),
-        densities=tuple(args.densities),
+        densities=args.densities or BenchConfig.densities,
         ratios=tuple(args.ratios),
         k=args.k,
         seed=args.seed,
-        distribution=Distribution(args.distribution),
+        distribution=Distribution(args.distribution or BenchConfig.distribution),
         locations=args.locations,
         timeout_s=args.timeout_s,
         clique_budget=args.clique_budget,

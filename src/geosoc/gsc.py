@@ -120,12 +120,12 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _member_sets(fam: LocalFamilies, k: int, keys=_mix):
+def _member_sets(fam: LocalFamilies, k: int):
     """Group the local clusters of size >= k by member set.
 
-    Groups come from a hash of the members (keys maps positions to 64-bit
-    keys) and are confirmed by comparing the member lists; a group whose
-    hash collides is split by the member tuples themselves.  Returns the
+    Groups come from a hash of the members (a _mix key per position) and
+    are confirmed by comparing the member lists; a group whose hash
+    collides is split by the member tuples themselves.  Returns the
     set of every local cluster (-1 below size k), the local clusters
     ordered by set, and the start of each set's run in that order.
     """
@@ -133,8 +133,8 @@ def _member_sets(fam: LocalFamilies, k: int, keys=_mix):
     use = np.flatnonzero(sizes >= k)
     if not len(use):
         return np.full(len(sizes), -1, np.int64), use, use
-    point_key = keys(np.arange(len(fam.nbhd.ids)))
-    hashes = np.add.reduceat(point_key[fam.members], fam.offsets[:-1])[use] ^ keys(sizes[use])
+    point_key = _mix(np.arange(len(fam.nbhd.ids)))
+    hashes = np.add.reduceat(point_key[fam.members], fam.offsets[:-1])[use] ^ _mix(sizes[use])
     by_hash = np.argsort(hashes)
     order = use[by_hash]
     hashes = hashes[by_hash]

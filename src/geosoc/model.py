@@ -82,8 +82,8 @@ class Params:
             raise ValueError("distance threshold d must be positive and finite")
         if self.k < 1:
             raise ValueError("social constraint parameter k must be >= 1")
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError("eps must be >= 0 and finite")
 
     @property
     def r(self) -> float:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from geosoc import bench
 from geosoc.framework import DetectionConfig, detect_mccs
 from geosoc.io import load_edges, load_locations
 from geosoc.model import Params, SocialKind, build_network
@@ -210,14 +211,82 @@ def test_precluster_is_not_an_option(tmp_path, dataset, command):
     assert "--precluster" in res.stderr
 
 
-def test_bench_error_row_reports_its_cause(tmp_path):
+@pytest.mark.parametrize(
+    "option, sweep",
+    [
+        ("--ratios", ("--n", 300, "--ratios", 0.5)),
+        ("--n", ("--n", 50)),
+        ("--densities", ("--densities", 0.5)),
+        ("--distribution", ("--distribution", "gaussian")),
+    ],
+)
+def test_bench_rejects_a_dimension_of_the_other_sweep(tmp_path, option, sweep):
+    loc = tmp_path / "pts.tsv"
+    loc.write_text("0\t0\t0\n1\t1\t1\n", encoding="utf-8")
+    source = () if option == "--ratios" else ("--locations", loc)
+    out = tmp_path / "bench.csv"
+    res = run_cli("bench", *source, *sweep, "--algos", "approx", "--d", 30, "--out", out)
+    assert res.returncode == 1
+    assert option in res.stderr
+    assert not out.exists()
+
+
+def test_bench_timed_out_sample_reports_its_n(tmp_path):
+    loc = tmp_path / "pts.tsv"
+    assert run_cli("gen", "--n", 300, "--seed", 5, "--out", loc).returncode == 0
+    out = tmp_path / "bench.csv"
+    res = run_cli(
+        "bench", "--locations", loc, "--ratios", 0.5, "--algos", "exact-r12",
+        "--d", 30, "--timeout-s", 0.0001, "--out", out,
+    )
+    assert res.returncode == 2
+    row = out.read_text().splitlines()[1].split(",")
+    assert (row[2], row[-1]) == ("150", "timeout")
+
+
+def test_bench_reads_a_location_file_once(tmp_path, monkeypatch):
+    loc = tmp_path / "pts.tsv"
+    assert run_cli("gen", "--n", 100, "--seed", 5, "--out", loc).returncode == 0
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return load_locations(path)
+
+    monkeypatch.setattr(bench, "load_locations", counted)
+    cfg = bench.BenchConfig(
+        algos=("exact-r12", "approx"), ds=(20.0, 30.0), ratios=(0.5, 1.0), locations=str(loc),
+    )
+    reports = bench.run_bench(cfg, tmp_path / "bench.csv")
+    assert len(calls) == 1
+    assert [(r.cell.algo, r.n, r.cell.d, r.status) for r in reports] == [
+        (algo, n, d, "ok") for algo in cfg.algos for n in (50, 100) for d in cfg.ds
+    ]
+
+
+def test_bench_malformed_location_file_is_input_error(tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("0\tx\ty\n", encoding="utf-8")
     out = tmp_path / "bench.csv"
-    res = run_cli("bench", "--locations", bad, "--algos", "approx", "--d", 30, "--out", out)
+    res = run_cli(
+        "bench", "--locations", bad, "--algos", "approx,exact", "--ratios", "0.5,1",
+        "--d", "20,30", "--out", out,
+    )
     assert res.returncode == 1
-    assert out.read_text().splitlines()[1].endswith(",error")
-    assert "ParseError" in res.stderr
+    assert f"{bad}:1:" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
+def test_bench_error_row_reports_its_cause(tmp_path):
+    # k = 0 passes the parser and fails in the child, when Params checks it
+    out = tmp_path / "bench.csv"
+    res = run_cli("bench", "--n", 50, "--k", 0, "--algos", "approx", "--d", 30, "--out", out)
+    assert res.returncode == 1
+    assert out.read_text().splitlines()[1].split(",")[2:] == [
+        "50", "0.008", "30", "0", "0.000000", "", "", "error",
+    ]
+    assert "Traceback" in res.stderr and "ValueError" in res.stderr
 
 
 def test_bench_timeout_row(tmp_path):

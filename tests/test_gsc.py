@@ -217,7 +217,7 @@ def test_bulk_comparison_counts_equal_the_sequential_filter(level):
         assert stats.comparisons == count, f"seed {seed}: {stats.comparisons} != {count}"
 
 
-def test_member_set_grouping_survives_hash_collisions():
+def test_member_set_grouping_survives_hash_collisions(monkeypatch):
     pts = random_points(7, 150)
     grid = build_grid(pts, 30.0)
     fam = local_member_families(range_query_disk(grid, None, 30.0), 15.0)
@@ -231,7 +231,8 @@ def test_member_set_grouping_survives_hash_collisions():
         return sorted(next(iter(g)) for g in groups.values())
 
     hashed = gsc._member_sets(fam, 1)[0]
-    colliding = gsc._member_sets(fam, 1, keys=lambda x: np.zeros(len(x), np.uint64))[0]
+    monkeypatch.setattr(gsc, "_mix", lambda x: np.zeros(len(x), np.uint64))
+    colliding = gsc._member_sets(fam, 1)[0]
     assert partition(colliding) == partition(hashed)
 
 

@@ -73,8 +73,9 @@ def test_params_derived_radius():
         Params(d=0.0)
     with pytest.raises(ValueError):
         Params(d=1.0, k=0)
-    with pytest.raises(ValueError):
-        Params(d=1.0, eps=-1e-3)
+    for eps in (-1e-3, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            Params(d=1.0, eps=eps)
 
 
 def test_cluster_canonical_order_is_insertion_independent():

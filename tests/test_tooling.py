@@ -15,9 +15,10 @@ ROOT = Path(__file__).resolve().parent.parent
 PRELUDE = "import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]\nimport workloads\n"
 
 
-def _run(code: str) -> str:
+def _run(code: str, *args) -> str:
     proc = subprocess.run(
-        [sys.executable, "-c", PRELUDE + code, str(ROOT / "perfbench"), str(ROOT / "src")],
+        [sys.executable, "-c", PRELUDE + code, str(ROOT / "perfbench"), str(ROOT / "src"),
+         *map(str, args)],
         capture_output=True,
         text=True,
         cwd=ROOT,
@@ -30,39 +31,50 @@ def test_tracer_call_sites_exist():
     assert int(_run("print(len(workloads._tracer()._patches))\n")) > 0
 
 
-def test_tracer_hooks_fire_on_detect_and_search():
-    # a signature change that breaks a wrapped call or a count hook fails
-    # here, not only in a traced benchmark run
+def test_tracer_hooks_fire_on_detect_and_search(tmp_path):
+    # each workload's own calls, on a small instance, fire every span its
+    # traced benchmark run expects; a signature change that breaks a wrapped
+    # call or a count hook fails here, not only in a traced benchmark run
     code = (
-        "import json\n"
-        "from geosoc import framework\n"
+        "import json, math\n"
+        "from pathlib import Path\n"
+        "from types import SimpleNamespace\n"
+        "from geosoc import baseline, framework, io\n"
         "from geosoc.datagen import GenSpec, attach_social_edges, generate\n"
-        "from geosoc.framework import DetectionConfig, SpatialAlgo\n"
-        "from geosoc.model import Params, SocialKind, build_network\n"
+        "from geosoc.model import GeoPoint\n"
+        "tmp = Path(sys.argv[3])\n"
         "pts = generate(GenSpec(n=300, density=0.008, seed=3))\n"
-        "g = build_network(pts, attach_social_edges(pts, m_nearest=3, n_random=75, seed=3))\n"
-        "exact = DetectionConfig(Params(30.0, 3, SocialKind.TRUSS), SpatialAlgo.EXACT_RULE12)\n"
-        "approx = DetectionConfig(Params(30.0, 2, SocialKind.CORE), SpatialAlgo.APPROX)\n"
-        "tracer = workloads._tracer()\n"
-        "with tracer.installed():\n"
-        "    framework.detect_mccs(g, exact)\n"
-        "    framework.detect_mccs(g, approx)\n"
-        "    framework.search_mccs(g, pts[0].id, exact)\n"
-        "print(json.dumps({'spans': sorted(set(tracer.names)), 'counts': dict(tracer.counts)}))\n"
+        "# five nearest friends plus 75 random ones: the global 4-truss has 687\n"
+        "# edges and every workload finds communities, so each engine has\n"
+        "# clusters to peel\n"
+        "edges = attach_social_edges(pts, m_nearest=5, n_random=75, seed=3)\n"
+        "# the search asks about a far-off clique of five: its ball is its own\n"
+        "# 3-core, so only search_mccs itself builds a subnetwork\n"
+        "pts += [GeoPoint(300 + i, -500 + 5 * math.cos(i), 5 * math.sin(i)) for i in range(5)]\n"
+        "edges += [(300 + i, 300 + j) for i in range(5) for j in range(i + 1, 5)]\n"
+        "inp = SimpleNamespace(locations=tmp / 'locations.tsv', edges=tmp / 'edges.tsv')\n"
+        "io.write_locations(pts, inp.locations)\n"
+        "io.write_edges(edges, inp.edges)\n"
+        "out = {}\n"
+        "for name, wl in workloads.WORKLOADS.items():\n"
+        "    tracer = workloads._tracer()\n"
+        "    with tracer.installed():\n"
+        "        g = workloads._ingest(inp)\n"
+        "        if wl.search:\n"
+        "            assert len(framework.search_mccs(g, 300, wl.config())) == 1\n"
+        "        else:\n"
+        "            workloads._detect_once(g, wl.config(), tmp / 'communities.jsonl')\n"
+        "        if name == 'detect-exact':\n"
+        "            baseline.clique_clusters(g.points, workloads.D)\n"
+        "    out[name] = {'missing': sorted(workloads._expected_spans(wl) - set(tracer.names)),\n"
+        "                 'counts': dict(tracer.counts)}\n"
+        "print(json.dumps(out))\n"
     )
-    out = json.loads(_run(code))
-    assert {
-        "gsc.find_gsc",
-        "gsc.center_rect",
-        "sweep_exact.local_member_families",
-        "approx.find_gasc",
-        "spatial_index.range_query_rect",
-        "social.k_truss_communities",
-        "social.k_core_communities",
-        "framework.find_global_mcc",
-        "framework.search_mccs",
-    } <= set(out["spans"])
-    assert out["counts"]["gsc.comparisons"] > 0
+    out = json.loads(_run(code, tmp_path))
+    assert sorted(out) == ["detect-exact", "detect-social", "search-exact"]
+    for name, got in out.items():
+        assert got["missing"] == [], name
+    assert out["detect-exact"]["counts"]["gsc.comparisons"] > 0
 
 
 def test_bench_pairs_prints_its_usage():
