@@ -65,8 +65,9 @@ def _check_extremes(labels: dict[int, set[int]], extremes: tuple[int, int, int])
 
     With points processed by ascending x, any square covering the group
     has its left edge at or before the group's leftmost member, so every
-    potential container is already labelled, and one contains the group
-    exactly when those three extremes all carry its label.
+    potential container is already labelled (no label is evicted within
+    one x), and one contains the group exactly when those three extremes
+    all carry its label.
     """
     min_y, max_y, max_x = extremes
     first = labels.get(min_y)
@@ -110,8 +111,6 @@ def _global_members(points: Sequence[GeoPoint], d: float, k: int, eps: float):
     found: list[tuple[int, ...]] = []
     found_refs: list[int] = []
     stale = 0
-    epoch_x: float | None = None
-    same_x: list[tuple[int, ...]] = []
     for first in range(0, n, _SWEEP_BLOCK):
         last = min(first + _SWEEP_BLOCK, n)
         row = np.repeat(np.arange(first, last), np.diff(offsets[first : last + 1]))
@@ -128,24 +127,15 @@ def _global_members(points: Sequence[GeoPoint], d: float, k: int, eps: float):
         )
         flat, starts = ids[member].tolist(), starts.tolist()
         for g, r in enumerate(refs.tolist()):
-            x = x_of[r]
-            if epoch_x != x:
-                epoch_x, same_x = x, []
-                # a point left of this slab is in no later group, so its
-                # labels are never asked for again
-                while stale < r and x_of[stale] < x - eps:
-                    labels.pop(id_of[stale], None)
-                    stale += 1
+            # a point left of this slab is in no later group, so its labels
+            # are never asked for again
+            left = x_of[r] - eps
+            while stale < r and x_of[stale] < left:
+                labels.pop(id_of[stale], None)
+                stale += 1
             if not _check_extremes(labels, (lowest[g], highest[g], rightmost[g])):
                 continue
             members = tuple(flat[starts[g] : starts[g + 1]])
-            # references sharing one x lack the strict left-to-right order;
-            # fall back to direct comparison within the current x epoch
-            if same_x:
-                mset = frozenset(members)
-                if any(mset.issubset(other) for other in same_x):
-                    continue
-            same_x.append(members)
             # a kept cluster's label is its place in found
             label = len(found)
             for m in members:

@@ -78,27 +78,28 @@ def spatial_clusters(
 def detect_mccs(g: GeoSocialNetwork, cfg: DetectionConfig) -> list[Community]:
     """All maximal communities satisfying both constraints.
 
-    The spatial stage runs on a social pre-filter of g: the k-core for a
-    core query; for a truss query, the endpoints of the global k-truss
-    edges with those edges only, peeled as whole arrays over one list of
-    g's triangles (``k_truss_network``).  Every community lies in the
-    k-core, and every truss community is spanned by global truss edges;
-    the per-cluster engines are the dict peels of ``social``.  The truss
-    of a vertex set C is the same in g[C] as in the global truss
-    restricted to C, and every spatial mode is hereditary, so the result
-    is the same as on all of g.
+    The spatial stage runs on a social pre-filter of g: the k-core's
+    points for a core query; for a truss query, the endpoints of the
+    global k-truss edges with those edges only, peeled as whole arrays
+    over one list of g's triangles (``k_truss_network``).  Every community
+    lies in the k-core, and every truss community is spanned by global
+    truss edges; the per-cluster engines are the dict peels of ``social``,
+    on subgraphs induced in g or in that truss network.  The truss of a
+    vertex set C is the same in g[C] as in the global truss restricted to
+    C, and every spatial mode is hereditary, so the result is the same as
+    on all of g.
     """
     params = cfg.params
     if params.social_kind is SocialKind.CORE:
         engine = k_core_communities
         keep = k_core_vertices(g, params.k)
-        if len(keep) < len(g.points):
-            g = g.subnetwork(keep)
+        points = [p for p in g.points if p.id in keep]
     else:
         engine = k_truss_communities
         g = k_truss_network(g, params.k)
+        points = g.points
     local: list[Community] = []
-    for cluster in spatial_clusters(g.points, cfg):
+    for cluster in spatial_clusters(points, cfg):
         local.extend(engine(induced_subgraph(g, cluster.members), params.k))
     return find_global_mcc(local)
 

@@ -307,7 +307,7 @@ def _comparisons(prune_level, kept, chosen, set_ref, table, nbhd, r, eps):
     stop, start, mine = stop[walk], start[walk], np.take(mine, walk, axis=0)
     own_sig, own_size = sig[walk], sizes[walk]
     meets = np.zeros(len(walk), np.int64)
-    noted = []
+    noted = [(np.zeros(0, np.int64),) * 4]
     # sets with more than j candidates: a prefix, its length per column
     widths = np.searchsorted(-stop, -np.arange(int(stop[0]) if len(stop) else 0), side="left").tolist()
     for j, m in enumerate(widths):
@@ -318,10 +318,7 @@ def _comparisons(prune_level, kept, chosen, set_ref, table, nbhd, r, eps):
         t = pt[c]
         c = c[(own_size[c] < kept_size[t]) & (own_sig[c] & ~kept_sig[t] == 0)]
         noted.append((c, pt[c], np.full(len(c), j), meets[c]))
-    cand, cand_kept, cand_col, cand_meets = (np.concatenate(x) for x in zip(*noted)) if noted else (
-        np.zeros(0, np.int64),) * 4
-    # a set's first container is its first noted candidate holding every
-    # member; try one candidate per set and round
+    cand, cand_kept, cand_col, cand_meets = map(np.concatenate, zip(*noted))
     # each kept set as a bitset over the point numbers it spans (near
     # points are numbered near, so the spans are short)
     held = table.members[_spans(table.offsets[chosen], kept_size)]
@@ -330,38 +327,29 @@ def _comparisons(prune_level, kept, chosen, set_ref, table, nbhd, r, eps):
     words = (np.maximum.reduceat(held, held_start) - low >> 6) + 1 if n_kept else held
     word_start = np.cumsum(words) - words
     offset = held - np.repeat(low, kept_size)
-    word = np.repeat(word_start, kept_size) + (offset >> 6)
-    # distinct bits of one word add up to their union; halves keep the sums exact
-    half = np.left_shift(1, offset & 31).astype(np.float64)
-    high = (offset & 63) >= 32
-    n_words = int(words.sum())
-    bitset = np.bincount(word, np.where(high, 0.0, half), n_words).astype(np.uint64)
-    bitset |= np.bincount(word, np.where(high, half, 0.0), n_words).astype(np.uint64) << np.uint64(32)
+    bitset = np.zeros(int(words.sum()), np.uint64)
+    bits = np.left_shift(np.uint64(1), (offset & 63).astype(np.uint64))
+    np.bitwise_or.at(bitset, np.repeat(word_start, kept_size) + (offset >> 6), bits)
+    # a set's first container is its first noted candidate (in column
+    # order) holding every member: test them all, take each set's first
     by_set = np.argsort(cand, kind="stable")
-    cand, cand_kept, cand_col, cand_meets = cand[by_set], cand_kept[by_set], cand_col[by_set], cand_meets[by_set]
+    c, t = cand[by_set], cand_kept[by_set]
+    size = sizes[walk[c]]
+    at = table.members[_spans(table.offsets[walk[c]], size)] - np.repeat(low[t], size)
+    inside_span = (at >= 0) & (at < np.repeat(words[t] * 64, size))
+    at = np.where(inside_span, at, 0)
+    word = bitset[np.repeat(word_start[t], size) + (at >> 6)]
+    hit = inside_span & ((word >> (at & 63).astype(np.uint64)) & np.uint64(1) == 1)
+    holds = np.flatnonzero(_run_sums(hit, size) == size)
+    done = by_set[holds[np.diff(c[holds], prepend=-1) != 0]]
+    inner = cand[done]
     limit = bound[walk]
+    limit[inner] = cand_kept[done] + 1
     admitted = stop.copy()
-    contained = np.zeros(len(walk), bool)
-    run = np.flatnonzero(np.diff(cand, prepend=-1))
-    run_end = np.append(run[1:], len(cand))
-    while len(run):
-        a, t = walk[cand[run]], cand_kept[run]
-        size = sizes[a]
-        at = table.members[_spans(table.offsets[a], size)] - np.repeat(low[t], size)
-        inside_span = (at >= 0) & (at < np.repeat(words[t] * 64, size))
-        at = np.where(inside_span, at, 0)
-        word = bitset[np.repeat(word_start[t], size) + (at >> 6)]
-        hit = inside_span & ((word >> (at & 63).astype(np.uint64)) & np.uint64(1) == 1)
-        inside = _run_sums(hit, size) == size
-        done = run[inside]
-        contained[cand[done]] = True
-        limit[cand[done]] = cand_kept[done] + 1
-        admitted[cand[done]] = cand_col[done] + 1
-        meets[cand[done]] = cand_meets[done]
-        run, run_end = run[~inside] + 1, run_end[~inside]
-        run, run_end = run[run < run_end], run_end[run < run_end]
-    found = np.empty(len(walk), bool)
-    found[walk] = contained
+    admitted[inner] = cand_col[done] + 1
+    meets[inner] = cand_meets[done]
+    found = np.zeros(len(walk), bool)
+    found[walk[inner]] = True
     if prune_level is PruneLevel.NONE:
         return int(limit.sum()), found
     return int((admitted if prune_level is PruneLevel.RULE1 else meets).sum()), found

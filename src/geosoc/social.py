@@ -36,7 +36,7 @@ def induced_subgraph(g: _HasAdjacency, vertices: Iterable[int]) -> InducedSubgra
         if v not in g.adjacency:
             raise UnknownVertex(f"vertex {v} is not in the graph")
     adj = {v: tuple(u for u in g.adjacency[v] if u in keep) for v in sorted(keep)}
-    return InducedSubgraph(tuple(sorted(keep)), adj)
+    return InducedSubgraph(tuple(adj), adj)
 
 
 def k_core_vertices(g: _HasAdjacency, k: int) -> set[int]:
@@ -54,6 +54,7 @@ def k_core_vertices(g: _HasAdjacency, k: int) -> set[int]:
 
 
 def _components(vertices: Iterable[int], adjacency: dict[int, Iterable[int]]) -> list[list[int]]:
+    """Connected components of the vertices, each sorted and duplicate-free."""
     todo = set(vertices)
     comps: list[list[int]] = []
     for start in sorted(todo):
@@ -79,7 +80,7 @@ def k_core_communities(g: _HasAdjacency, k: int) -> list[Community]:
         raise ValueError("core parameter k must be >= 1")
     # _components never leaves the vertex set it is given
     comps = _components(k_core_vertices(g, k), g.adjacency)
-    return [Community.from_members(c, k, SocialKind.CORE) for c in comps]
+    return [Community(tuple(c), k, SocialKind.CORE) for c in comps]
 
 
 def _edge(u: int, v: int) -> tuple[int, int]:
@@ -201,4 +202,4 @@ def k_truss_communities(g: _HasAdjacency, k: int) -> list[Community]:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
     comps = _components(adj.keys(), adj)
-    return [Community.from_members(c, k, SocialKind.TRUSS) for c in comps]
+    return [Community(tuple(c), k, SocialKind.TRUSS) for c in comps]

@@ -228,8 +228,10 @@ def sequential_gasc(
 
     Each local cluster of size >= k at the reference is kept unless
     check_global finds a container among the kept clusters, or, for
-    references of equal x (which lack the left-to-right order), a kept
-    cluster of that x holds it; a kept cluster labels its members.
+    references of equal x, a kept cluster of that x holds it; a kept
+    cluster labels its members.  The equal-x clause never decides: a kept
+    cluster of that x labels all of its members, so check_global has
+    already refused any cluster it holds.
     """
     pmap = {p.id: p for p in points}
     labels: dict[int, set[int]] = {}

@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from geosoc.approx import _check_extremes, find_gasc
 from geosoc.baseline import oracle_gasc, oracle_gsc
@@ -177,6 +180,26 @@ def test_find_gasc_matches_the_sequential_sweep():
         for k in (1, 3):
             want = {(c.members, c.reference) for c in sequential_gasc(pts, d, k)}
             assert {(c.members, c.reference) for c in find_gasc(pts, d, k)} == want, (d, k)
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    columns=st.integers(2, 4),
+    n=st.integers(5, 45),
+    d=st.sampled_from([1.0, 2.0, 2.5]),
+)
+def test_references_sharing_x_off_the_lattice(seed, columns, n, d):
+    # every point on one of a few shared x columns, at a random height: many
+    # references share an x, and no gap is near eps
+    rng = np.random.default_rng(seed)
+    xs = rng.choice(rng.uniform(0, 10, columns), n)
+    pts = [pt(i, float(x), float(y)) for i, (x, y) in enumerate(zip(xs, rng.uniform(0, 10, n)))]
+    got = find_gasc(pts, d)
+    assert families(got) == families(oracle_gasc(pts, d))
+    want = {(c.members, c.reference) for c in sequential_gasc(pts, d)}
+    assert {(c.members, c.reference) for c in got} == want
+    sets = [set(c.members) for c in got]
+    assert not any(i != j and a <= b for i, a in enumerate(sets) for j, b in enumerate(sets))
 
 
 def test_mutual_non_containment():
