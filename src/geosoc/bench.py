@@ -139,6 +139,10 @@ def _child(points: list[GeoPoint], cell: BenchCell, clique_budget: int | None, c
 def run_bench(cfg: BenchConfig, out_path) -> list[RunReport]:
     """Run every cell, in algos x data sets x ds order, writing one CSV row
     per cell.  A location file is read once, before any cell runs."""
+    # the disk queries import scipy.spatial on first use; importing it before
+    # the cells fork keeps that import out of every cell's time
+    import scipy.spatial  # noqa: F401
+
     located = None if cfg.locations is None else load_locations(cfg.locations)
     reports: list[RunReport] = []
     ctx = mp.get_context("fork")

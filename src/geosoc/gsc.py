@@ -2,9 +2,10 @@
 inclusion-maximal member sets.
 
 global_spatial_clusters is whole-array code in four layers: one bulk
-neighbour join (range_query_disk over every point), one batched angular
-sweep (local_member_families), a maximality filter (find_gsc) and, for
-the survivors only, SpatialCluster objects.
+neighbour join (range_query_disk over every point, which the grid answers
+from its k-d tree, keeping its cell-run table for rectangles), one batched
+angular sweep (local_member_families), a maximality filter (find_gsc)
+and, for the survivors only, SpatialCluster objects.
 
 The filter is an owner check.  Let F(S) be the region of feasible
 covering-circle centers of a set S (the intersection of the radius-r

@@ -3,10 +3,10 @@
 Coordinates live in an abstract planar unit system (meters once a
 geographic input has been projected).  Everything here is immutable after
 construction and safe to share between threads.  A network's lazily built
-caches (``positions``, which ``point_map`` reads through, and ``grids``,
-which holds the one ``spatial_index`` grid that a search reads its balls
-from) are derived only from its immutable fields, so building one never
-changes what the network means.
+caches (``positions``, ``point_map`` and ``grids``, which holds the one
+``spatial_index`` grid that a search reads its balls from) are derived
+only from its immutable fields, so building one never changes what the
+network means.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
     from .spatial_index import GridIndex
@@ -155,24 +156,6 @@ class Community:
         return cls(tuple(sorted(set(members))), k, social_kind)
 
 
-class _PointsById(Mapping[int, GeoPoint]):
-    """Read-only id -> point view over a network's points and id -> index map."""
-
-    __slots__ = ("_points", "_at")
-
-    def __init__(self, points: tuple[GeoPoint, ...], at: dict[int, int]) -> None:
-        self._points, self._at = points, at
-
-    def __getitem__(self, pid: int) -> GeoPoint:
-        return self._points[self._at[pid]]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._at)
-
-    def __len__(self) -> int:
-        return len(self._at)
-
-
 @dataclass(frozen=True)
 class GeoSocialNetwork:
     """Points plus a symmetric, loop-free adjacency over their ids."""
@@ -185,9 +168,10 @@ class GeoSocialNetwork:
         """Id -> index of the point in ``points``."""
         return {p.id: i for i, p in enumerate(self.points)}
 
-    @property
+    @cached_property
     def point_map(self) -> Mapping[int, GeoPoint]:
-        return _PointsById(self.points, self.positions)
+        """Id -> point, read-only."""
+        return MappingProxyType({p.id: p for p in self.points})
 
     @cached_property
     def grids(self) -> dict[float, GridIndex]:

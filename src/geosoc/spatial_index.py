@@ -1,15 +1,14 @@
-"""Uniform-grid index over points with disk and rectangle range queries.
+"""Grid index over points: a k-d tree for disks, cell runs for rectangles.
 
-The grid is one table of cell runs, built in whole arrays: the points in
-cell order, the sorted cell keys, and each occupied cell's first point
-and count.  The scalar disk query walks the runs of its box's cell
-columns; the bulk queries look up every cell of many boxes at once.
+Disk queries are fixed-radius searches in a scipy ``cKDTree`` that the
+index builds on its first disk query.  Rectangle batches look up every
+cell of many boxes at once in the grid's table of cell runs: the points in
+cell order, and each occupied cell's key, first point and count.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -29,8 +28,8 @@ class EmptyRange(GeoSocError):
 
 @dataclass(frozen=True, eq=False)
 class GridIndex:
-    """Points in runs by grid cell; immutable (the scalar disk query's list
-    view of the runs is built from the arrays on first use).
+    """Points in runs by grid cell, for rectangles, plus a k-d tree over
+    them, for disks; immutable (the tree is built on the first disk query).
 
     Point i (insertion order) has id ``ids[i]`` at ``(xs[i], ys[i])`` and
     lies in cell (floor(x / cell_size), floor(y / cell_size)).  A cell in
@@ -38,9 +37,8 @@ class GridIndex:
     ``j * width + cy - rows[0]``, where ``rows`` are the lowest and highest
     occupied rows; numbering only occupied columns keeps the keys small
     however far apart the columns lie.  ``order`` lists the points by key
-    (stable) and ``key`` holds their keys, so within one column the cells
-    of a box are one run of that order; occupied cell ``cells[i]`` holds
-    the points ``order[first[i]:first[i] + count[i]]``.
+    (stable), so occupied cell ``cells[i]`` holds the points
+    ``order[first[i]:first[i] + count[i]]``.
     """
 
     cell_size: float
@@ -50,7 +48,6 @@ class GridIndex:
     columns: np.ndarray
     rows: tuple[int, int]
     order: np.ndarray
-    key: np.ndarray
     cells: np.ndarray
     first: np.ndarray
     count: np.ndarray
@@ -64,12 +61,21 @@ class GridIndex:
         return self.rows[1] - self.rows[0] + 1
 
     @cached_property
-    def _lists(self) -> tuple[list, list, list, list, list]:
-        """Columns, then keys, ids, xs and ys in cell order, as lists for the
-        scalar disk query."""
+    def tree(self):
+        """A cKDTree over the points in cell order (its point i is point
+        ``order[i]``), so that the bulk join reads near points near in
+        memory; the unbalanced sliding-midpoint build is the cheaper one."""
+        from scipy.spatial import cKDTree
+
+        xy = np.column_stack((self.xs, self.ys))[self.order]
+        return cKDTree(xy, balanced_tree=False, compact_nodes=False)
+
+    @cached_property
+    def _by_cell(self) -> tuple[list, list, list]:
+        """Ids, xs and ys in cell order as lists, for the scalar disk query: each
+        query returns the same id objects, so the clique's sets match by identity."""
         by_cell = self.order
-        return (self.columns.tolist(), self.key.tolist(), self.ids[by_cell].tolist(),
-                self.xs[by_cell].tolist(), self.ys[by_cell].tolist())
+        return self.ids[by_cell].tolist(), self.xs[by_cell].tolist(), self.ys[by_cell].tolist()
 
 
 def build_grid(points: Iterable[GeoPoint], cell_size: float) -> GridIndex:
@@ -89,23 +95,8 @@ def build_grid(points: Iterable[GeoPoint], cell_size: float) -> GridIndex:
     rows = (int(cy.min()), int(cy.max())) if n else (0, 0)
     key = column * (rows[1] - rows[0] + 1) + (cy - rows[0]).astype(np.int64)
     order = np.argsort(key, kind="stable")
-    key = key[order]
-    return GridIndex(cell_size, ids, xs, ys, columns, rows, order, key,
-                     *np.unique(key, return_index=True, return_counts=True))
-
-
-def _box_runs(idx: GridIndex, x_lo: float, x_hi: float, y_lo: float, y_hi: float):
-    """Per occupied column that meets the box, the run [lo, hi) of cell
-    order holding the column's cells that meet it."""
-    cs, (low, high), width = idx.cell_size, idx.rows, idx.width
-    y_first = max(math.floor(y_lo / cs), low) - low
-    y_last = min(math.floor(y_hi / cs), high) - low
-    if y_first > y_last:
-        return
-    columns, key = idx._lists[:2]
-    for j in range(bisect_left(columns, math.floor(x_lo / cs)), bisect_right(columns, math.floor(x_hi / cs))):
-        lo = bisect_left(key, j * width + y_first)
-        yield lo, bisect_right(key, j * width + y_last, lo)
+    return GridIndex(cell_size, ids, xs, ys, columns, rows, order,
+                     *np.unique(key[order], return_index=True, return_counts=True))
 
 
 @dataclass(frozen=True)
@@ -158,52 +149,25 @@ def _lookup(idx: GridIndex, x_lo, x_hi, y_lo, y_hi):
 
 
 def _all_disks(idx: GridIndex, radius: float, eps: float) -> Neighbours:
-    """One bulk join: every grid cell a per-point query would scan (see
-    _box_runs) is looked up for all points at once, and the candidates are
-    kept by the same closed distance test.  Each pair is measured once,
-    from the point whose cell comes first (or which comes first in a
-    shared cell), then recorded both ways.  Distances are
+    """One bulk join: the tree lists every pair within the reach and its
+    slack once, as cell numbers (i, j) with i < j; the pairs are kept by
+    the same closed distance test, then recorded both ways.  Distances are
     sqrt(dx^2 + dy^2), within a few ulps of math.hypot, and equal to it
     wherever they lie within rounding distance of the reach, so the test
     decides as there."""
-    # work in cell order, where every cell's points are one run
-    n, by_cell, key, first, count = idx.n_points, idx.order, idx.key, idx.first, idx.count
+    n, by_cell = idx.n_points, idx.order
     ids, sx, sy = idx.ids[by_cell], idx.xs[by_cell], idx.ys[by_cell]
     if n == 0:
         return Neighbours(ids, sx, sy, by_cell, np.zeros(1, np.int64), by_cell, np.zeros(0))
     reach = radius + eps
-    ones, twos, dists = [], [], []
-    for lo in range(0, n, _JOIN_BLOCK):
-        # a block of points at a time keeps the candidate arrays small
-        hi = min(lo + _JOIN_BLOCK, n)
-        bx, by = sx[lo:hi], sy[lo:hi]
-        qkey, slot, hit = _lookup(idx, bx - reach, bx + reach, by - reach, by + reach)
-        # later cells whole; in the point's own cell, the points after it
-        after = np.arange(lo + 1, hi + 1)[:, None]
-        later = hit & (qkey > key[lo:hi, None])
-        own = hit & (qkey == key[lo:hi, None])
-        starts = np.where(later, first[slot], np.where(own, after, 0)).ravel()
-        size = np.where(later, count[slot], np.where(own, first[slot] + count[slot] - after, 0))
-        per_center = size.sum(axis=1)
-        size = size.ravel()
-        other = np.repeat(starts - (np.cumsum(size) - size), size)
-        other += np.arange(len(other))
-        center = np.repeat(np.arange(lo, hi), per_center)
-        dx = sx[other]
-        dx -= sx[center]
-        dy = sy[other]
-        dy -= sy[center]
-        dist = dx * dx
-        dist += dy * dy
-        np.sqrt(dist, out=dist)
-        keep = np.flatnonzero(dist <= reach * (1 + 1e-12))
-        for t in keep[dist[keep] >= reach * (1 - 1e-12)]:
-            dist[t] = math.hypot(dx[t], dy[t])
-        keep = keep[dist[keep] <= reach]
-        ones.append(center[keep])
-        twos.append(other[keep])
-        dists.append(dist[keep])
-    one, two, dist = np.concatenate(ones), np.concatenate(twos), np.concatenate(dists)
+    one, two = idx.tree.query_pairs(reach * (1 + 1e-12), output_type="ndarray").T
+    dx = sx[two] - sx[one]
+    dy = sy[two] - sy[one]
+    dist = np.sqrt(dx * dx + dy * dy)
+    for t in np.flatnonzero(dist >= reach * (1 - 1e-12)):
+        dist[t] = math.hypot(dx[t], dy[t])
+    keep = dist <= reach
+    one, two, dist = one[keep], two[keep], dist[keep]
     every = np.arange(n)
     center = np.concatenate((one, two, every))
     other = np.concatenate((two, one, every))
@@ -221,6 +185,9 @@ def range_query_disk(
 ):
     """Ids of indexed points within radius (closed, eps slack), ascending.
 
+    The index's tree offers the points within (radius + eps) * (1 + 1e-12),
+    a relative slack over the tree's own rounding, and each is kept by the
+    closed test math.hypot(dx, dy) <= radius + eps.
     With center None every indexed point is a center at once, and the
     result is the Neighbours table of all those queries.
     """
@@ -228,14 +195,13 @@ def range_query_disk(
         raise ValueError("radius must be >= 0")
     if center is None:
         return _all_disks(idx, radius, eps)
+    if idx.n_points == 0:
+        return []
     reach = radius + eps
     x, y = center.x, center.y
-    ids, xs, ys = idx._lists[2:]
-    out: list[int] = []
-    for lo, hi in _box_runs(idx, x - reach, x + reach, y - reach, y + reach):
-        out += [ids[i] for i in range(lo, hi) if math.hypot(xs[i] - x, ys[i] - y) <= reach]
-    out.sort()
-    return out
+    ids, xs, ys = idx._by_cell
+    near = idx.tree.query_ball_point((x, y), reach * (1 + 1e-12), return_sorted=False)
+    return sorted([ids[i] for i in near if math.hypot(xs[i] - x, ys[i] - y) <= reach])
 
 
 def range_query_rect(
@@ -263,6 +229,7 @@ def range_query_rect(
     x_lo, x_hi, y_lo, y_hi = x_lo - eps, x_hi + eps, y_lo - eps, y_hi + eps
     rows, hits = [], []
     for lo in range(0, m, _JOIN_BLOCK):
+        # a block of rectangles at a time keeps the candidate arrays small
         hi = min(lo + _JOIN_BLOCK, m)
         _, slot, hit = _lookup(idx, x_lo[lo:hi], x_hi[lo:hi], y_lo[lo:hi], y_hi[lo:hi])
         size = np.where(hit, idx.count[slot], 0)

@@ -227,6 +227,48 @@ def test_disk_batch_matches_single_queries():
             assert len(nbhd) == total
 
 
+def _assert_disks_match_naive(pts, radius, eps):
+    idx = build_grid(pts, radius)
+    nbhd = range_query_disk(idx, None, radius, eps)
+    for i in range(len(pts)):
+        center = pts[nbhd.order[i]]
+        want = naive_disk(pts, center, radius, eps)
+        assert nbhd.ids[nbhd.nbrs[nbhd.offsets[i] : nbhd.offsets[i + 1]]].tolist() == want
+        assert range_query_disk(idx, center, radius, eps) == want
+
+
+@given(
+    cells=st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=50),
+    radius=st.sampled_from([1, 2, 3, 5]),
+    shift=st.tuples(st.integers(-10**7, 10**7), st.integers(-10**7, 10**7)),
+)
+def test_disks_on_shifted_integer_lattices(cells, radius, shift):
+    # an integer shift keeps integer coordinates exact, so with no slack the
+    # axis pairs and 3-4-5 pairs lie exactly at the reach
+    pts = [GeoPoint(i, float(x + shift[0]), float(y + shift[1])) for i, (x, y) in enumerate(sorted(cells))]
+    _assert_disks_match_naive(pts, float(radius), 0.0)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 60),
+    radius=st.floats(1e-3, 30),
+    shift=st.tuples(st.floats(-1e7, 1e7), st.floats(-1e7, 1e7)),
+    eps=st.sampled_from([0.0, 1e-9]),
+)
+def test_disks_far_from_origin(seed, n, radius, shift, eps):
+    # near 1e7 the float spacing (about 1.9e-9) is a sizeable share of a
+    # 1e-3 radius, so the tree's candidate slack must hold in relative terms;
+    # every other point sits at the reach from the one before it, where
+    # rounding decides the closed test
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(0, 4 * radius, (n, 2))
+    angle = rng.uniform(0, 2 * np.pi, n // 2)
+    xy[1::2] = xy[::2][: n // 2] + (radius + eps) * np.column_stack((np.cos(angle), np.sin(angle)))
+    xy += shift
+    _assert_disks_match_naive([GeoPoint(i, float(x), float(y)) for i, (x, y) in enumerate(xy)], radius, eps)
+
+
 def test_rect_batch_edge_cases():
     empty = build_grid([], 1.0)
     offsets, hits = range_query_rect(empty, np.zeros(2), np.ones(2), np.zeros(2), np.ones(2))
