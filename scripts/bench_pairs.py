@@ -1,24 +1,39 @@
 #!/usr/bin/env python3
-"""Alternating parent/change pairs of one perfbench workload.
+"""Alternating parent/change pairs of one perfbench workload, or of one
+``geosoc bench`` cell.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload detect-exact --seed 1 --pairs 10 --label truss_prefilter
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --algo exact-r12 --n 20000 --seed 1 --pairs 10 --label member_order
 
-Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds 35
---trace T`` once in each source tree, one process at a time; the side that
-runs first alternates from pair to pair.  A run whose last output line is
-not ``correct`` (or has failed operations) stops the script.  The pairs are
-written into BENCH_<label>.json at the root of this repository,
-under the section ``end_to_end_seed<S>`` (``traced_seed<S>`` with --trace 1)
-and the workload's name, replacing an earlier entry for the same workload:
-each metric's runs per side, their median and quartiles
-(``statistics.quantiles(n=4, method='inclusive')``), and how many pairs the
-change's value was strictly lower in, plus each side's member digests.
+Each pair runs one measurement in each source tree, one process at a
+time; the side that runs first alternates from pair to pair.
+
+With --workload, a measurement is ``python3 perfbench/run.py --workload W
+--seed S --seconds 35 --trace T``.  A run whose last output line is not
+``correct`` (or has failed operations) stops the script.  The pairs go
+under the section ``end_to_end_seed<S>`` (``traced_seed<S>`` with
+--trace 1) and the workload's name, with each side's member digests.
+
+With --algo, a measurement is ``python3 -m geosoc bench --algos A --n N
+--d 30 --seed S`` with PYTHONPATH set to the tree's ``src``.  A cell
+whose status is not ``ok``, or whose ``comparisons`` or ``clusters``
+differ from any earlier run of either side, stops the script.  The pairs
+go under the section ``geosoc_bench_seed<S>`` and the key ``A n=N``,
+with the cell's comparisons and clusters.
+
+Either way the pairs are written into BENCH_<label>.json at the root of
+this repository, replacing an earlier entry under the same key: each
+metric's runs per side, their median and quartiles
+(``statistics.quantiles(n=4, method='inclusive')``), and how many pairs
+the change's value was strictly lower in.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import platform
@@ -26,6 +41,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +64,22 @@ def run_once(tree: Path, workload: str, seed: int, trace: int) -> tuple[dict, st
     return metrics, detail["member_digest"][:16]
 
 
+def run_cell(tree: Path, algo: str, n: int, seed: int) -> tuple[dict, tuple[str, str]]:
+    cmd = [sys.executable, "-m", "geosoc", "bench", "--algos", algo, "--n", str(n), "--d", "30",
+           "--seed", str(seed), "--out"]
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "bench.csv"
+        proc = subprocess.run(cmd + [str(out)], cwd=tree, env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            sys.exit(f"{tree}: {' '.join(cmd)} exited {proc.returncode}\n{proc.stderr[-2000:]}")
+        with open(out, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+    if row["status"] != "ok":
+        sys.exit(f"{tree}: {' '.join(cmd)}: cell status {row['status']}")
+    return {"seconds": float(row["seconds"])}, (row["comparisons"], row["clusters"])
+
+
 def summary(values: list[float]) -> dict:
     # one run is its own quartiles
     q1, _, q3 = statistics.quantiles(values * 2 if len(values) == 1 else values, n=4, method="inclusive")
@@ -68,7 +100,10 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", type=Path, required=True, help="source tree of the parent commit")
     ap.add_argument("--change", type=Path, required=True, help="source tree of the change")
-    ap.add_argument("--workload", required=True)
+    what = ap.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload", help="perfbench workload")
+    what.add_argument("--algo", help="geosoc bench algorithm of the cell")
+    ap.add_argument("--n", type=int, help="geosoc bench cell: number of points")
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--label", required=True)
@@ -76,25 +111,46 @@ def main() -> int:
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    if (args.algo is None) != (args.n is None):
+        ap.error("--algo and --n go together")
+    if args.algo is not None and args.trace:
+        ap.error("--trace goes with --workload only")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
+    if args.workload is not None:
+        def measure(tree):
+            return run_once(tree, args.workload, args.seed, args.trace)
+        section = f"{'traced' if args.trace else 'end_to_end'}_seed{args.seed}"
+        key, shown = args.workload, ("run_s", "trace.run_s")
+    else:
+        def measure(tree):
+            return run_cell(tree, args.algo, args.n, args.seed)
+        section = f"geosoc_bench_seed{args.seed}"
+        key, shown = f"{args.algo} n={args.n}", ("seconds",)
+
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-    digests: dict[str, set[str]] = {side: set() for side in SIDES}
+    checks: dict[str, set] = {side: set() for side in SIDES}
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
-            metrics, digest = run_once(trees[side], args.workload, args.seed, args.trace)
+            metrics, check = measure(trees[side])
             runs[side].append(metrics)
-            digests[side].add(digest)
+            checks[side].add(check)
+        cells = checks["parent"] | checks["change"]
+        if args.algo is not None and len(cells) > 1:
+            sys.exit(f"{key}: (comparisons, clusters) differ between runs: {sorted(cells)}")
         print(f"pair {i + 1}/{args.pairs} ({order[0]} first): " + ", ".join(
             f"{name} {runs['parent'][-1][name]:.4g} -> {runs['change'][-1][name]:.4g}"
-            for name in ("run_s", "trace.run_s") if name in runs["change"][-1]), flush=True)
+            for name in shown if name in runs["change"][-1]), flush=True)
 
-    entry: dict = {
-        "pairs": args.pairs,
-        "all_correct": True,
-        "member_digests": {side: sorted(digests[side]) for side in SIDES},
-    }
+    entry: dict = {"pairs": args.pairs}
+    if args.workload is not None:
+        entry["all_correct"] = True
+        entry["member_digests"] = {side: sorted(checks[side]) for side in SIDES}
+    else:
+        (comparisons, clusters), = cells
+        entry["comparisons"] = int(comparisons) if comparisons else None
+        entry["clusters"] = int(clusters)
     for name in runs["change"][0]:
         per_side = {side: [r[name] for r in runs[side]] for side in SIDES}
         entry[name] = {
@@ -107,16 +163,18 @@ def main() -> int:
     doc.setdefault("label", args.label)
     doc["host"] = (f"{platform.machine()} {platform.system()}, {len(os.sched_getaffinity(0))} cores, "
                    f"Python {platform.python_version()}, numpy {np.__version__}; one benchmark process at a time")
-    doc["command"] = "python3 perfbench/run.py --workload W --seed S --seconds 35 --trace T"
+    if args.workload is not None:
+        doc["command"] = "python3 perfbench/run.py --workload W --seed S --seconds 35 --trace T"
+    else:
+        doc["bench_command"] = "python3 -m geosoc bench --algos A --n N --d 30 --seed S --out CSV"
     doc["protocol"] = (
         "parent and change run from separate source trees; each pair runs both sides back to back, "
         "the side that runs first alternating between pairs. Quartiles are statistics.quantiles(n=4, "
         "method='inclusive'); change_lower_in_pairs counts pairs where the change's value is strictly lower."
     )
-    section = f"{'traced' if args.trace else 'end_to_end'}_seed{args.seed}"
-    doc.setdefault(section, {})[args.workload] = entry
+    doc.setdefault(section, {})[key] = entry
     out.write_text(dump(doc))
-    print(f"wrote {args.workload} to {section} in {out}")
+    print(f"wrote {key} to {section} in {out}")
     return 0
 
 

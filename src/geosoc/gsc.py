@@ -42,6 +42,7 @@ from __future__ import annotations
 import enum
 import gc
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -122,48 +123,30 @@ def _mix(x: np.ndarray) -> np.ndarray:
 
 
 def _member_sets(fam: LocalFamilies, k: int):
-    """Group the local clusters of size >= k by member set.
+    """Number the distinct member sets of the local clusters of size >= k
+    in the sequential filter's order: larger sets first, then by members.
 
-    Groups come from a hash of the members (a _mix key per position) and
-    are confirmed by comparing the member lists; a group whose hash
-    collides is split by the member tuples themselves.  Returns the
-    set of every local cluster (-1 below size k), the local clusters
-    ordered by set, and the start of each set's run in that order.
+    Each size class is sorted once, by one void key per set: its members'
+    id ranks as big-endian uint32 (so ranks must fit in uint32), whose
+    bytes compare as the member id tuples do.  Returns the set of every
+    local cluster (-1 below size k), the local clusters ordered by set,
+    and the start of each set's run in that order.
     """
     sizes = fam.sizes
+    ids = fam.nbhd.ids
+    rank = np.empty(len(ids), ">u4")
+    rank[np.argsort(ids)] = np.arange(len(ids))
     use = np.flatnonzero(sizes >= k)
-    if not len(use):
-        return np.full(len(sizes), -1, np.int64), use, use
-    point_key = _mix(np.arange(len(fam.nbhd.ids)))
-    hashes = np.add.reduceat(point_key[fam.members], fam.offsets[:-1])[use] ^ _mix(sizes[use])
-    by_hash = np.argsort(hashes)
-    order = use[by_hash]
-    hashes = hashes[by_hash]
-    new = np.ones(len(order), bool)
-    new[1:] = hashes[1:] != hashes[:-1]
-    head = order[np.maximum.accumulate(np.where(new, np.arange(len(order)), 0))]
-    size = sizes[order]
-    agree = size == sizes[head]
-    check = np.flatnonzero(agree & ~new)
-    copy = _spans(fam.offsets[order[check]], size[check])
-    same = fam.members[copy] == fam.members[
-        copy - np.repeat(fam.offsets[order[check]] - fam.offsets[head[check]], size[check])
-    ]
-    agree[check] = _run_sums(same, size[check]) == size[check]
-    group = np.cumsum(new) - 1
-    if not agree.all():
-        # a hash collision: renumber each colliding group by member tuple
-        bad = np.isin(group, group[~agree])
-        fresh = int(group.max()) + 1
-        tuples: dict[tuple, int] = {}
-        for i in np.flatnonzero(bad).tolist():
-            lo, hi = fam.offsets[order[i]], fam.offsets[order[i] + 1]
-            members = (int(group[i]),) + tuple(fam.members[lo:hi].tolist())
-            group[i] = tuples.setdefault(members, fresh + len(tuples))
-        regroup = np.argsort(group, kind="stable")
-        order, group = order[regroup], group[regroup]
-        new = np.ones(len(order), bool)
-        new[1:] = group[1:] != group[:-1]
+    use = use[np.argsort(-sizes[use], kind="stable")]
+    order, new = [use[:0]], [np.zeros(0, bool)]
+    for cls in np.split(use, np.flatnonzero(np.diff(sizes[use])) + 1) if len(use) else ():
+        size = int(sizes[cls[0]])
+        keys = rank[fam.members[fam.offsets[cls, None] + np.arange(size)]].view(f"V{4 * size}").ravel()
+        by_key = np.argsort(keys, kind="stable")
+        keys = keys[by_key]
+        order.append(cls[by_key])
+        new.append(np.append(True, keys[1:] != keys[:-1]))
+    order, new = np.concatenate(order), np.concatenate(new)
     local_set = np.full(len(sizes), -1, np.int64)
     local_set[order] = np.cumsum(new) - 1
     return local_set, order, np.flatnonzero(new)
@@ -178,10 +161,13 @@ def find_gsc(
 ) -> tuple[list[SpatialCluster], ComparisonStats]:
     """Keep the local clusters of size >= k that no other one contains.
 
-    The filter is the bulk owner check of the module docstring.  The
-    output is identical for every prune level; only the comparison count
-    changes: it is the count that the sequential filter of
-    tests/reference.py makes under prune_level, on the same clusters.
+    The filter is the bulk owner check of the module docstring, over the
+    distinct member sets numbered in the sequential filter's order (larger
+    sets first, then by members; see _member_sets), so every pass hands
+    its kept sets to _comparisons in that order as they stand.  The output
+    is sorted by members and identical for every prune level; only the
+    comparison count changes: it is the count that the sequential filter
+    of tests/reference.py makes under prune_level, on the same clusters.
     """
     r = d / 2
     nbhd = fam.nbhd
@@ -212,40 +198,32 @@ def find_gsc(
     # boundary shrinks to a point and rounding loses it.  So it is
     # confirmed: a set is kept exactly when no kept set contains it, and
     # wrong calls flip.  One flip keeps every maximal set, a second drops
-    # the rest, and a third pass finds nothing to flip.
+    # the rest, and a third pass finds nothing to flip.  Set numbers follow
+    # the filter's order, so the kept sets' numbers are that order already.
     for attempt in range(3):
-        chosen, tuples = _member_tuples(np.flatnonzero(kept), table, nbhd.ids)
-        # the sequential filter's order: larger sets first, then by members
-        by_members = np.array(sorted(range(len(tuples)), key=tuples.__getitem__), np.int64)
-        place = by_members[np.argsort(-sizes[chosen[by_members]], kind="stable")]
-        count, contained = _comparisons(prune_level, kept, chosen[place], set_ref, table, nbhd, r, eps)
+        chosen = np.flatnonzero(kept)
+        count, contained = _comparisons(prune_level, kept, chosen, set_ref, table, nbhd, r, eps)
         wrong = contained == kept
         if not wrong.any() or attempt == 2:
             break
         kept ^= wrong
 
+    # the member tuples, one size class at a time, then in output order:
+    # by members (each class is sorted already, so the sort merges runs)
+    size = sizes[chosen]
+    flat = iter(nbhd.ids[table.members[_spans(table.offsets[chosen], size)]].tolist())
+    tuples: list[tuple[int, ...]] = []
+    for run in np.split(size, np.flatnonzero(np.diff(size)) + 1) if len(size) else ():
+        part = islice(flat, len(run) * int(run[0]))
+        tuples.extend(zip(*[part] * int(run[0])))
+    by_members = sorted(range(len(tuples)), key=tuples.__getitem__)
     refs = nbhd.ids[set_ref[chosen]].tolist()
     out = SpatialCluster._canonical_many(
-        list(map(tuples.__getitem__, by_members.tolist())),
-        list(map(refs.__getitem__, by_members.tolist())),
+        list(map(tuples.__getitem__, by_members)),
+        list(map(refs.__getitem__, by_members)),
         ClusterKind.EXACT_CIRCLE,
     )
     return out, ComparisonStats(count)
-
-
-def _member_tuples(sets: np.ndarray, table: ClusterTable, ids: np.ndarray):
-    """The member id tuples of the given sets, reordered by size; equal-size
-    tuples come off one flat list at once."""
-    sets = sets[np.argsort(table.offsets[sets + 1] - table.offsets[sets], kind="stable")]
-    size = table.offsets[sets + 1] - table.offsets[sets]
-    flat = ids[table.members[_spans(table.offsets[sets], size)]].tolist()
-    ends = np.cumsum(size).tolist()
-    cuts = (np.flatnonzero(np.diff(size)) + 1).tolist()
-    tuples: list[tuple[int, ...]] = []
-    for lo, hi in zip([0] + cuts, cuts + [len(size)]) if len(size) else ():
-        members = iter(flat[ends[lo] - int(size[lo]) : ends[hi - 1]])
-        tuples.extend(zip(*[members] * int(size[lo])))
-    return sets, tuples
 
 
 def _sorted_search(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:

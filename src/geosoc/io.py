@@ -122,12 +122,16 @@ def load_checkins(path, policy: CheckinPolicy = CheckinPolicy.LATEST) -> list[Ge
     mean, then all positions are projected to planar meters with an
     equirectangular projection about the dataset centroid:
     x = R * (lon - lon0) * cos(lat0), y = R * (lat - lat0), R = 6371 km.
+    Each longitude is first taken within 180 degrees of the first
+    check-in's (360 added or subtracted where it differs by more), so
+    users on both sides of the antimeridian project next to each other.
     The latest check-in is the one with the greatest instant (see
     _stamp_seconds), the later line on a tie; the mean policy ignores
     timestamps.
     """
     latest: dict[int, tuple[float, float, float]] = {}
     sums: dict[int, tuple[float, float, int]] = {}
+    lon_ref = None
     for line_no, line in _data_lines(path):
         parts = line.split("\t")
         if len(parts) < 4:
@@ -141,6 +145,12 @@ def load_checkins(path, policy: CheckinPolicy = CheckinPolicy.LATEST) -> list[Ge
             raise ParseError(path, line_no, str(exc)) from None
         if not (math.isfinite(lat) and math.isfinite(lon)):
             raise ParseError(path, line_no, "coordinates must be finite")
+        if lon_ref is None:
+            lon_ref = lon
+        elif lon - lon_ref > 180.0:
+            lon -= 360.0
+        elif lon - lon_ref < -180.0:
+            lon += 360.0
         if policy is CheckinPolicy.LATEST:
             prev = latest.get(user)
             if prev is None or stamp >= prev[0]:

@@ -153,6 +153,17 @@ def test_checkin_centroid_projects_to_origin(tmp_path):
     assert pts == [GeoPoint(5, 0.0, 0.0)]
 
 
+@pytest.mark.parametrize("first, second", [(179.9999, -179.9999), (-179.9999, 179.9999)])
+def test_load_checkins_across_the_antimeridian(tmp_path, first, second):
+    # 0.0002 degrees of longitude apart at 10 degrees N: about 22 m
+    path = tmp_path / "c.tsv"
+    path.write_text(f"1\t0\t10\t{first}\n2\t0\t10\t{second}\n", encoding="utf-8")
+    a, b = load_checkins(path)
+    want = EARTH_RADIUS_M * math.radians(0.0002) * math.cos(math.radians(10.0))
+    assert abs(a.x - b.x) == pytest.approx(want, rel=1e-6)
+    assert a.y == b.y == 0.0
+
+
 def test_load_checkins_malformed(tmp_path):
     path = tmp_path / "c.tsv"
     path.write_text("5\t2010-01-01\tnorth\t0\t0\n", encoding="utf-8")

@@ -86,5 +86,8 @@ def test_bench_pairs_prints_its_usage():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: bench_pairs.py")
-    for option in ("--parent", "--change", "--workload", "--pairs", "--label"):
+    for option in ("--parent", "--change", "--workload", "--pairs", "--label", "--algo", "--n"):
         assert option in proc.stdout
+    # the geosoc bench cell mode: its command and its section
+    assert "python3 -m geosoc bench --algos A --n N" in proc.stdout
+    assert "geosoc_bench_seed<S>" in proc.stdout
