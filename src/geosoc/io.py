@@ -115,6 +115,21 @@ def _stamp_seconds(stamp: str) -> float:
     return seconds
 
 
+def _unwrap_longitudes(lons: set[float]):
+    """The map putting each longitude in one 360-degree window cut in the
+    middle of the widest circular gap between `lons` (the first ascending on
+    a tie), so the cut depends on the set, not the line order; the identity
+    where all lie in [-180, 180) and none is wider than the gap across +-180."""
+    ring = sorted({(lon + 180.0) % 360.0 - 180.0 for lon in lons})
+    widest, cut = ring[0] + 360.0 - ring[-1], 180.0
+    for a, b in zip(ring, ring[1:]):
+        if b - a > widest:
+            widest, cut = b - a, (a + b) / 2
+    if cut == 180.0 and all(-180.0 <= lon < 180.0 for lon in lons):
+        return lambda lon: lon
+    return lambda lon: cut - 360.0 + (lon - cut) % 360.0
+
+
 def load_checkins(path, policy: CheckinPolicy = CheckinPolicy.LATEST) -> list[GeoPoint]:
     """One point per user from `user<TAB>timestamp<TAB>lat<TAB>lon[<TAB>loc]`.
 
@@ -122,16 +137,14 @@ def load_checkins(path, policy: CheckinPolicy = CheckinPolicy.LATEST) -> list[Ge
     mean, then all positions are projected to planar meters with an
     equirectangular projection about the dataset centroid:
     x = R * (lon - lon0) * cos(lat0), y = R * (lat - lat0), R = 6371 km.
-    Each longitude is first taken within 180 degrees of the first
-    check-in's (360 added or subtracted where it differs by more), so
+    Longitudes first go into one 360-degree window (_unwrap_longitudes), so
     users on both sides of the antimeridian project next to each other.
     The latest check-in is the one with the greatest instant (see
     _stamp_seconds), the later line on a tie; the mean policy ignores
     timestamps.
     """
     latest: dict[int, tuple[float, float, float]] = {}
-    sums: dict[int, tuple[float, float, int]] = {}
-    lon_ref = None
+    checkins: dict[int, list[tuple[float, float]]] = {}
     for line_no, line in _data_lines(path):
         parts = line.split("\t")
         if len(parts) < 4:
@@ -145,26 +158,24 @@ def load_checkins(path, policy: CheckinPolicy = CheckinPolicy.LATEST) -> list[Ge
             raise ParseError(path, line_no, str(exc)) from None
         if not (math.isfinite(lat) and math.isfinite(lon)):
             raise ParseError(path, line_no, "coordinates must be finite")
-        if lon_ref is None:
-            lon_ref = lon
-        elif lon - lon_ref > 180.0:
-            lon -= 360.0
-        elif lon - lon_ref < -180.0:
-            lon += 360.0
         if policy is CheckinPolicy.LATEST:
             prev = latest.get(user)
             if prev is None or stamp >= prev[0]:
                 latest[user] = (stamp, lat, lon)
         else:
-            slat, slon, cnt = sums.get(user, (0.0, 0.0, 0))
-            sums[user] = (slat + lat, slon + lon, cnt + 1)
+            checkins.setdefault(user, []).append((lat, lon))
 
     if policy is CheckinPolicy.LATEST:
-        per_user = {u: (lat, lon) for u, (_, lat, lon) in latest.items()}
-    else:
-        per_user = {u: (slat / cnt, slon / cnt) for u, (slat, slon, cnt) in sums.items()}
-    if not per_user:
+        checkins = {u: [(lat, lon)] for u, (_, lat, lon) in latest.items()}
+    if not checkins:
         return []
+    unwrap = _unwrap_longitudes({lon for seen in checkins.values() for _, lon in seen})
+    per_user = {}
+    for u, seen in checkins.items():
+        slat = slon = -0.0  # the identity of +: one check-in keeps its bits
+        for lat, lon in seen:
+            slat, slon = slat + lat, slon + unwrap(lon)
+        per_user[u] = (slat / len(seen), slon / len(seen))
     lat0 = sum(lat for lat, _ in per_user.values()) / len(per_user)
     lon0 = sum(lon for _, lon in per_user.values()) / len(per_user)
     cos0 = math.cos(math.radians(lat0))

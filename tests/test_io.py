@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -162,6 +163,51 @@ def test_load_checkins_across_the_antimeridian(tmp_path, first, second):
     want = EARTH_RADIUS_M * math.radians(0.0002) * math.cos(math.radians(10.0))
     assert abs(a.x - b.x) == pytest.approx(want, rel=1e-6)
     assert a.y == b.y == 0.0
+
+
+def test_load_checkins_seam_ignores_line_order(tmp_path):
+    # anchored on the first line's longitude (Austin), a seam would fall at 82.3 E,
+    # between users 2 and 3; the widest gap puts it in the Pacific for every order
+    lines = ["1\t0\t30.27\t-97.7\n", "2\t0\t26.8\t82.2\n", "3\t0\t26.8\t82.4\n"]
+    path = tmp_path / "c.tsv"
+    runs = []
+    for order in itertools.permutations(lines):
+        path.write_text("".join(order), encoding="utf-8")
+        runs.append(load_checkins(path))
+    # the same points up to the centroid's rounding, which sums users in line order
+    flat = [[v for p in run for v in (p.id, p.x, p.y)] for run in runs]
+    assert all(run == pytest.approx(flat[0], abs=1e-6) for run in flat)
+    _, b, c = runs[0]
+    lat0 = (30.27 + 26.8 + 26.8) / 3
+    want = EARTH_RADIUS_M * math.radians(0.2) * math.cos(math.radians(lat0))
+    assert abs(b.x - c.x) == pytest.approx(want, rel=1e-6)
+
+
+def test_load_checkins_mean_across_the_antimeridian(tmp_path):
+    # user 1 checks in on both sides of +-180: its mean lies at 180, 0.2 degrees from user 2
+    path = tmp_path / "c.tsv"
+    lines = ["3\t0\t0\t0\n", "1\t0\t0\t179.9\n", "2\t0\t0\t179.8\n", "1\t0\t0\t-179.9\n"]
+    path.write_text("".join(lines), encoding="utf-8")
+    a, b, _ = load_checkins(path, CheckinPolicy.MEAN)
+    assert a.x - b.x == pytest.approx(EARTH_RADIUS_M * math.radians(0.2), rel=1e-6)
+
+
+def test_load_checkins_keeps_a_seam_in_the_widest_gap(tmp_path):
+    # world-wide users whose widest longitude gap is the Pacific: no longitude moves
+    coords = [(30.27, -97.7), (40.64, -73.8), (51.5, -0.1), (48.86, 2.35), (52.5, 13.4),
+              (41.0, 28.9), (25.2, 55.3), (28.6, 77.2), (1.35, 103.8), (39.9, 116.4),
+              (35.7, 139.7), (-33.9, 151.2)]  # fmt: skip
+    path = tmp_path / "c.tsv"
+    path.write_text("".join(f"{u}\t0\t{lat}\t{lon}\n" for u, (lat, lon) in enumerate(coords)))
+    lat0 = sum(lat for lat, _ in coords) / len(coords)
+    lon0 = sum(lon for _, lon in coords) / len(coords)
+    cos0 = math.cos(math.radians(lat0))
+    r = EARTH_RADIUS_M
+    want = [
+        GeoPoint(u, r * math.radians(lon - lon0) * cos0, r * math.radians(lat - lat0))
+        for u, (lat, lon) in enumerate(coords)
+    ]
+    assert load_checkins(path) == want
 
 
 def test_load_checkins_malformed(tmp_path):
