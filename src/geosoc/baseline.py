@@ -34,6 +34,10 @@ class CliqueBudgetExceeded(GeoSocError):
     """The clique enumeration produced more maximal cliques than allowed."""
 
 
+#: maximal cliques the clique baseline may list before it gives up
+MAX_CLIQUES = 5_000_000
+
+
 def oracle_lsc(
     v: GeoPoint,
     candidates: Iterable[GeoPoint],
@@ -218,7 +222,7 @@ def clique_clusters(
     points: Sequence[GeoPoint],
     d: float,
     eps: float = DEFAULT_EPS,
-    max_cliques: int | None = None,
+    max_cliques: int = MAX_CLIQUES,
 ) -> list[SpatialCluster]:
     """Maximal cliques of the <= d proximity graph (all-pair semantics).
 
@@ -259,7 +263,7 @@ def clique_clusters(
                 break
             if not sub_done:
                 found.append(tuple(sorted(clique + [v])))
-                if max_cliques is not None and len(found) > max_cliques:
+                if len(found) > max_cliques:
                     raise CliqueBudgetExceeded(f"more than {max_cliques} maximal cliques")
         else:
             stack.pop()

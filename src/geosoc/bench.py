@@ -75,7 +75,6 @@ class BenchConfig:
     distribution: Distribution = Distribution.UNIFORM
     locations: str | None = None
     timeout_s: float = 8000.0
-    clique_budget: int | None = 5_000_000
 
     def __post_init__(self) -> None:
         labels = {a.value for a in SpatialAlgo}
@@ -116,11 +115,11 @@ def _datasets(cfg: BenchConfig, located: list[GeoPoint] | None):
         yield cfg.distribution.value, density, generate(spec)
 
 
-def _child(points: list[GeoPoint], cell: BenchCell, clique_budget: int | None, conn) -> None:
+def _child(points: list[GeoPoint], cell: BenchCell, conn) -> None:
     """Time the spatial stage on inherited points and send back
     (seconds, comparisons, clusters, status)."""
     try:
-        cfg = DetectionConfig(Params(cell.d, cell.k), SpatialAlgo(cell.algo), clique_budget)
+        cfg = DetectionConfig(Params(cell.d, cell.k), SpatialAlgo(cell.algo))
         stats = ComparisonStats()
         start = time.perf_counter()
         clusters = spatial_clusters(points, cfg, stats_out=stats)
@@ -151,7 +150,7 @@ def run_bench(cfg: BenchConfig, out_path) -> list[RunReport]:
             for d in cfg.ds:
                 cell = BenchCell(algo, dataset, len(points), density, d, cfg.k)
                 parent_conn, child_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_child, args=(points, cell, cfg.clique_budget, child_conn))
+                proc = ctx.Process(target=_child, args=(points, cell, child_conn))
                 proc.start()
                 child_conn.close()
                 if parent_conn.poll(cfg.timeout_s):

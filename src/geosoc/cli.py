@@ -90,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[a.value for a in SpatialAlgo if a is not SpatialAlgo.CLIQUE_BASELINE],
         default="exact-r12",
     )
-    spatial.add_argument("--threads", type=int, default=1,
-                         help="no effect: the spatial stage runs in one thread")
     spatial.add_argument("--out", required=True)
     spatial.set_defaults(func=cmd_spatial)
 
@@ -106,9 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--k", type=int, required=True)
         cmd.add_argument("--social", choices=[s.value for s in SocialKind], default="core")
         cmd.add_argument("--algo", choices=[a.value for a in SpatialAlgo], default="exact-r12")
-        cmd.add_argument("--threads", type=int, default=1,
-                         help="no effect: detection runs in one thread")
-        cmd.add_argument("--clique-budget", type=int, default=5_000_000)
         cmd.add_argument("--out", required=True)
         if name == "search":
             cmd.add_argument("--query", type=int, required=True)
@@ -128,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--distribution", choices=[d.value for d in Distribution])
     bench.add_argument("--locations", help="benchmark a real location file instead of synthetic data")
     bench.add_argument("--timeout-s", type=float, default=8000.0)
-    bench.add_argument("--clique-budget", type=int, default=5_000_000)
     bench.add_argument("--out", required=True)
     bench.set_defaults(func=cmd_bench)
 
@@ -175,7 +169,7 @@ def _run_detection(args, query: int | None) -> int:
     edges = load_edges(args.edges)
     network = build_network(points, edges)
     params = Params(d=args.d, k=args.k, social_kind=SocialKind(args.social))
-    cfg = DetectionConfig(params, SpatialAlgo(args.algo), clique_budget=args.clique_budget)
+    cfg = DetectionConfig(params, SpatialAlgo(args.algo))
     if query is None:
         communities = detect_mccs(network, cfg)
     else:
@@ -216,7 +210,6 @@ def cmd_bench(args) -> int:
         distribution=Distribution(args.distribution or BenchConfig.distribution),
         locations=args.locations,
         timeout_s=args.timeout_s,
-        clique_budget=args.clique_budget,
     )
     reports = run_bench(cfg, args.out)
     statuses = [r.status for r in reports]

@@ -52,7 +52,6 @@ BOUND_OF = {
 class DetectionConfig:
     params: Params
     spatial_algo: SpatialAlgo = SpatialAlgo.EXACT_RULE12
-    clique_budget: int | None = None
 
 
 def spatial_clusters(
@@ -67,12 +66,11 @@ def spatial_clusters(
     p = cfg.params
     if cfg.spatial_algo in PRUNE_OF:
         return global_spatial_clusters(
-            points, p.d, k=p.k, prune_level=PRUNE_OF[cfg.spatial_algo], eps=p.eps,
-            stats_out=stats_out,
+            points, p.d, k=p.k, prune_level=PRUNE_OF[cfg.spatial_algo], stats_out=stats_out,
         )
     if cfg.spatial_algo is SpatialAlgo.APPROX:
-        return find_gasc(points, p.d, k=p.k, eps=p.eps)
-    return clique_clusters(points, p.d, eps=p.eps, max_cliques=cfg.clique_budget)
+        return find_gasc(points, p.d, k=p.k)
+    return clique_clusters(points, p.d)
 
 
 def detect_mccs(g: GeoSocialNetwork, cfg: DetectionConfig) -> list[Community]:
@@ -150,6 +148,6 @@ def search_mccs(g: GeoSocialNetwork, q: int, cfg: DetectionConfig) -> list[Commu
     if grid is None:
         g.grids.clear()
         grid = g.grids[params.d] = build_grid(g.points, params.d)
-    ball = range_query_disk(grid, qp, params.d, params.eps)
+    ball = range_query_disk(grid, qp, params.d)
     mccs = detect_mccs(g.subnetwork(ball), cfg)
     return [c for c in mccs if q in c.members]

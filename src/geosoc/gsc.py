@@ -114,14 +114,6 @@ def _run_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.add.reduceat(values, np.cumsum(sizes) - sizes)
 
 
-def _mix(x: np.ndarray) -> np.ndarray:
-    """splitmix64 of the given integers: well-spread 64-bit keys."""
-    z = x.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
 def _member_sets(fam: LocalFamilies, k: int):
     """Number the distinct member sets of the local clusters of size >= k
     in the sequential filter's order: larger sets first, then by members.
@@ -275,7 +267,9 @@ def _comparisons(prune_level, kept, chosen, set_ref, table, nbhd, r, eps):
     # of one set exceeds that of (x_hi + eps, -x_lo, y_hi + eps, -y_lo) of the other
     mine = np.stack((x_lo, -(x_hi + eps), y_lo, -(y_hi + eps)), axis=1)
     theirs = np.take(np.stack((x_hi + eps, -x_lo, y_hi + eps, -y_lo), axis=1), chosen, axis=0)
-    bit = np.left_shift(np.uint64(1), _mix(np.arange(n)) >> np.uint64(58))
+    # a set's signature ors one bit per member, by its point number: points
+    # are numbered in cell order, so near points mostly get distinct bits
+    bit = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64) % np.uint64(64))
     sig = np.bitwise_or.reduceat(bit[table.members], table.offsets[:-1]) if len(sizes) else bit[:0]
     kept_sig = sig[chosen]
 

@@ -76,15 +76,12 @@ class Params:
     d: float
     k: int = 1
     social_kind: SocialKind = SocialKind.CORE
-    eps: float = DEFAULT_EPS
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.d) and self.d > 0):
             raise ValueError("distance threshold d must be positive and finite")
         if self.k < 1:
             raise ValueError("social constraint parameter k must be >= 1")
-        if not (math.isfinite(self.eps) and self.eps >= 0):
-            raise ValueError("eps must be >= 0 and finite")
 
     @property
     def r(self) -> float:

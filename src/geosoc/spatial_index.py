@@ -132,9 +132,9 @@ _JOIN_BLOCK = 4096
 
 
 def _lookup(idx: GridIndex, x_lo, x_hi, y_lo, y_hi):
-    """For each box, every cell key between its corner cells in the occupied
-    columns it meets (a point inside the box lies in one of those cells),
-    that key's slot in ``cells``, and whether the cell is occupied."""
+    """For each box, the slot in ``cells`` of every cell key between its
+    corner cells in the occupied columns it meets (a point inside the box
+    lies in one of those cells), and whether that cell is occupied."""
     cs, (low, high) = idx.cell_size, idx.rows
     lo_x = np.searchsorted(idx.columns, np.floor(x_lo / cs))
     span_x = np.searchsorted(idx.columns, np.floor(x_hi / cs), side="right") - lo_x
@@ -145,7 +145,7 @@ def _lookup(idx: GridIndex, x_lo, x_hi, y_lo, y_hi):
     qkey = ((lo_x[:, None, None] + a) * idx.width + lo_y[:, None, None] + b).reshape(len(lo_x), -1)
     slot = np.minimum(np.searchsorted(idx.cells, qkey), len(idx.cells) - 1)
     inside = (a < span_x[:, None, None]) & (b < span_y[:, None, None])
-    return qkey, slot, (idx.cells[slot] == qkey) & inside.reshape(len(lo_x), -1)
+    return slot, (idx.cells[slot] == qkey) & inside.reshape(len(lo_x), -1)
 
 
 def _all_disks(idx: GridIndex, radius: float, eps: float) -> Neighbours:
@@ -231,7 +231,7 @@ def range_query_rect(
     for lo in range(0, m, _JOIN_BLOCK):
         # a block of rectangles at a time keeps the candidate arrays small
         hi = min(lo + _JOIN_BLOCK, m)
-        _, slot, hit = _lookup(idx, x_lo[lo:hi], x_hi[lo:hi], y_lo[lo:hi], y_hi[lo:hi])
+        slot, hit = _lookup(idx, x_lo[lo:hi], x_hi[lo:hi], y_lo[lo:hi], y_hi[lo:hi])
         size = np.where(hit, idx.count[slot], 0)
         row = np.repeat(np.arange(lo, hi), size.sum(axis=1))
         size = size.ravel()

@@ -8,7 +8,11 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 from geosoc.baseline import maximal_masks, oracle_gsc
 from geosoc.datagen import Distribution, GenSpec, attach_social_edges, generate
@@ -23,6 +27,20 @@ from geosoc.model import (
 from geosoc.social import induced_subgraph, k_core_communities, k_truss_communities
 from geosoc.sweep_exact import TAU
 from reference import AngularInterval, CenterRect, angular_interval
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_geosoc(*args) -> subprocess.CompletedProcess:
+    """``python -m geosoc`` on this checkout's sources, whatever is installed."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "geosoc", *map(str, args)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def families(items) -> set[tuple[int, ...]]:

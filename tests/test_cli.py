@@ -1,6 +1,4 @@
 import json
-import subprocess
-import sys
 
 import pytest
 
@@ -8,14 +6,7 @@ from geosoc import bench
 from geosoc.framework import DetectionConfig, detect_mccs
 from geosoc.io import load_edges, load_locations
 from geosoc.model import Params, SocialKind, build_network
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "geosoc", *map(str, args)],
-        capture_output=True,
-        text=True,
-    )
+from helpers import run_geosoc as run_cli
 
 
 @pytest.fixture(scope="module")
@@ -199,16 +190,33 @@ def test_bench_rejects_a_ratio_outside_the_unit_interval(tmp_path, ratio):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["detect", "search"])
-def test_precluster_is_not_an_option(tmp_path, dataset, command):
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("detect", "--precluster"),
+        ("search", "--precluster"),
+        ("spatial", "--threads=4"),
+        ("detect", "--threads=4"),
+        ("search", "--threads=4"),
+        ("detect", "--clique-budget=10"),
+        ("search", "--clique-budget=10"),
+        ("bench", "--clique-budget=10"),
+    ],
+    ids=lambda value: value.lstrip("-").split("=")[0],
+)
+def test_deleted_option_is_rejected(tmp_path, dataset, command, option):
     loc, edg = dataset
-    query = ("--query", 0) if command == "search" else ()
-    res = run_cli(
-        command, "--locations", loc, "--edges", edg, "--d", 30, "--k", 2, *query,
-        "--precluster", "--out", tmp_path / "o.jsonl",
-    )
+    needed = {
+        "spatial": ("--locations", loc, "--d", 30),
+        "detect": ("--locations", loc, "--edges", edg, "--d", 30, "--k", 2),
+        "search": ("--locations", loc, "--edges", edg, "--d", 30, "--k", 2, "--query", 0),
+        "bench": ("--n", 50, "--algos", "approx", "--d", 30),
+    }[command]
+    out = tmp_path / "o.out"
+    res = run_cli(command, *needed, option, "--out", out)
     assert res.returncode == 2
-    assert "--precluster" in res.stderr
+    assert option.split("=")[0] in res.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

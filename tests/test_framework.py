@@ -13,6 +13,7 @@ from geosoc.framework import (
     search_mccs,
 )
 from geosoc.model import (
+    DEFAULT_EPS,
     Community,
     GeoPoint,
     Params,
@@ -156,7 +157,7 @@ def _detect_on_ball(net, q, c):
     """Communities holding q, by brute-force distance filtering, then
     detection on the restricted network."""
     qp, p = net.point(q), c.params
-    ball = [v.id for v in net.points if math.hypot(v.x - qp.x, v.y - qp.y) <= p.d + p.eps]
+    ball = [v.id for v in net.points if math.hypot(v.x - qp.x, v.y - qp.y) <= p.d + DEFAULT_EPS]
     return [m for m in detect_mccs(net.subnetwork(ball), c) if q in m.members]
 
 
