@@ -12,9 +12,10 @@ time; the side that runs first alternates from pair to pair.
 
 With --workload, a measurement is ``python3 perfbench/run.py --workload W
 --seed S --seconds 35 --trace T``.  A run whose last output line is not
-``correct`` (or has failed operations) stops the script.  The pairs go
+``correct`` (or has failed operations), or whose member digest differs
+from any earlier run of either side, stops the script.  The pairs go
 under the section ``end_to_end_seed<S>`` (``traced_seed<S>`` with
---trace 1) and the workload's name, with each side's member digests.
+--trace 1) and the workload's name, with the member digest.
 
 With --algo, a measurement is ``python3 -m geosoc bench --algos A --n N
 --d 30 --seed S`` with PYTHONPATH set to the tree's ``src``.  A cell
@@ -121,24 +122,23 @@ def main() -> int:
         def measure(tree):
             return run_once(tree, args.workload, args.seed, args.trace)
         section = f"{'traced' if args.trace else 'end_to_end'}_seed{args.seed}"
-        key, shown = args.workload, ("run_s", "trace.run_s")
+        key, shown, checked = args.workload, ("run_s", "trace.run_s"), "member digests"
     else:
         def measure(tree):
             return run_cell(tree, args.algo, args.n, args.seed)
         section = f"geosoc_bench_seed{args.seed}"
-        key, shown = f"{args.algo} n={args.n}", ("seconds",)
+        key, shown, checked = f"{args.algo} n={args.n}", ("seconds",), "(comparisons, clusters)"
 
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-    checks: dict[str, set] = {side: set() for side in SIDES}
+    seen: set = set()
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
             metrics, check = measure(trees[side])
             runs[side].append(metrics)
-            checks[side].add(check)
-        cells = checks["parent"] | checks["change"]
-        if args.algo is not None and len(cells) > 1:
-            sys.exit(f"{key}: (comparisons, clusters) differ between runs: {sorted(cells)}")
+            seen.add(check)
+        if len(seen) > 1:
+            sys.exit(f"{key}: {checked} differ between runs: {sorted(seen)}")
         print(f"pair {i + 1}/{args.pairs} ({order[0]} first): " + ", ".join(
             f"{name} {runs['parent'][-1][name]:.4g} -> {runs['change'][-1][name]:.4g}"
             for name in shown if name in runs["change"][-1]), flush=True)
@@ -146,9 +146,9 @@ def main() -> int:
     entry: dict = {"pairs": args.pairs}
     if args.workload is not None:
         entry["all_correct"] = True
-        entry["member_digests"] = {side: sorted(checks[side]) for side in SIDES}
+        (entry["member_digest"],) = seen
     else:
-        (comparisons, clusters), = cells
+        (comparisons, clusters), = seen
         entry["comparisons"] = int(comparisons) if comparisons else None
         entry["clusters"] = int(clusters)
     for name in runs["change"][0]:

@@ -25,12 +25,14 @@ from .sweep_exact import spans as _spans
 _NO_LABELS: frozenset[int] = frozenset()
 
 
-def _windows(py, qy, d: float, eps: float):
+def _windows(py, qy, d: float):
     """Top-edge windows [t_lo, t_hi] of slab points at heights qy.
 
     Point q is covered by the square with top edge t while t is in
-    [q.y, q.y + d], clipped to [p.y, p.y + d] so p stays on the left edge.
+    [q.y, q.y + d], clipped to [p.y, p.y + d] so p stays on the left edge,
+    each bound widened by DEFAULT_EPS.
     """
+    eps = DEFAULT_EPS
     return np.where(qy > py, qy, py) - eps, np.where(qy < py, qy, py) + d + eps
 
 
@@ -82,7 +84,7 @@ def _check_extremes(labels: dict[int, set[int]], extremes: tuple[int, int, int])
 _SWEEP_BLOCK = 4096
 
 
-def _global_members(points: Sequence[GeoPoint], d: float, k: int, eps: float):
+def _global_members(points: Sequence[GeoPoint], d: float, k: int):
     """The member tuples and reference ids of every global cluster of size
     >= k, in processing order: by x, then y, then id of the reference point.
 
@@ -97,7 +99,7 @@ def _global_members(points: Sequence[GeoPoint], d: float, k: int, eps: float):
     n, xs, ys, ids = grid.n_points, grid.xs, grid.ys, grid.ids
     order = np.lexsort((ids, ys, xs))
     xs, ys, ids = xs[order], ys[order], ids[order]
-    offsets, slab = range_query_rect(grid, xs, xs + d, ys - d, ys + d, eps)
+    offsets, slab = range_query_rect(grid, xs, xs + d, ys - d, ys + d)
     position = np.empty(n, np.int64)
     position[order] = np.arange(n)
     # places by (y, id), (-y, id), (-x, id) and id, for the extremes and
@@ -115,7 +117,7 @@ def _global_members(points: Sequence[GeoPoint], d: float, k: int, eps: float):
         last = min(first + _SWEEP_BLOCK, n)
         row = np.repeat(np.arange(first, last), np.diff(offsets[first : last + 1]))
         near = position[slab[offsets[first] : offsets[last]]]
-        t_lo, t_hi = _windows(ys[row], ys[near], d, eps)
+        t_lo, t_hi = _windows(ys[row], ys[near], d)
         ok = t_lo <= t_hi
         refs, group, window = _stab(row[ok], t_lo[ok], t_hi[ok], k)
         member = near[ok][window]
@@ -129,7 +131,7 @@ def _global_members(points: Sequence[GeoPoint], d: float, k: int, eps: float):
         for g, r in enumerate(refs.tolist()):
             # a point left of this slab is in no later group, so its labels
             # are never asked for again
-            left = x_of[r] - eps
+            left = x_of[r] - DEFAULT_EPS
             while stale < r and x_of[stale] < left:
                 labels.pop(id_of[stale], None)
                 stale += 1
@@ -149,12 +151,7 @@ def _global_members(points: Sequence[GeoPoint], d: float, k: int, eps: float):
     return found, found_refs
 
 
-def find_gasc(
-    points: Sequence[GeoPoint],
-    d: float,
-    k: int = 1,
-    eps: float = DEFAULT_EPS,
-) -> list[SpatialCluster]:
+def find_gasc(points: Sequence[GeoPoint], d: float, k: int = 1) -> list[SpatialCluster]:
     """All maximal square-coverable sets of size >= k, in processing order
     (ascending x of the reference point)."""
     # no reference cycles are made; a collection while the output grows
@@ -162,7 +159,7 @@ def find_gasc(
     collecting = gc.isenabled()
     gc.disable()
     try:
-        members, refs = _global_members(points, d, k, eps)
+        members, refs = _global_members(points, d, k)
     finally:
         if collecting:
             gc.enable()

@@ -221,7 +221,6 @@ def oracle_gasc(
 def clique_clusters(
     points: Sequence[GeoPoint],
     d: float,
-    eps: float = DEFAULT_EPS,
     max_cliques: int = MAX_CLIQUES,
 ) -> list[SpatialCluster]:
     """Maximal cliques of the <= d proximity graph (all-pair semantics).
@@ -237,7 +236,7 @@ def clique_clusters(
     grid = build_grid(pts, d)
     adj: dict[int, frozenset[int]] = {}
     for p in pts:
-        near = range_query_disk(grid, p, d, eps)
+        near = range_query_disk(grid, p, d)
         adj[p.id] = frozenset(i for i in near if i != p.id)
 
     found: list[tuple[int, ...]] = []

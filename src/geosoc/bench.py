@@ -2,8 +2,8 @@
 
 Each data set is generated or loaded in the parent before its cells run;
 the forked children inherit its points and time the spatial algorithm
-only.  A timed-out or failed cell is reported in its CSV row and never
-aborts the sweep.
+only.  A timed-out, failed or killed cell is reported in its CSV row and
+never aborts the sweep.
 """
 
 from __future__ import annotations
@@ -154,7 +154,10 @@ def run_bench(cfg: BenchConfig, out_path) -> list[RunReport]:
                 proc.start()
                 child_conn.close()
                 if parent_conn.poll(cfg.timeout_s):
-                    measured = parent_conn.recv()
+                    try:
+                        measured = parent_conn.recv()
+                    except EOFError:  # the child died without a word (a signal)
+                        measured = (0.0, None, None, "error")
                 else:
                     proc.terminate()
                     measured = (cfg.timeout_s, None, None, "timeout")

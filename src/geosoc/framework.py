@@ -59,7 +59,8 @@ def spatial_clusters(
     cfg: DetectionConfig,
     stats_out: ComparisonStats | None = None,
 ) -> list[SpatialCluster]:
-    """Stage-1 dispatch: spatial clusters per the configured algorithm.
+    """Stage-1 dispatch: spatial clusters of at least k points per the
+    configured algorithm.
 
     stats_out receives the subset-comparison count of the exact modes.
     """
@@ -70,7 +71,7 @@ def spatial_clusters(
         )
     if cfg.spatial_algo is SpatialAlgo.APPROX:
         return find_gasc(points, p.d, k=p.k)
-    return clique_clusters(points, p.d)
+    return [c for c in clique_clusters(points, p.d) if len(c.members) >= p.k]
 
 
 def detect_mccs(g: GeoSocialNetwork, cfg: DetectionConfig) -> list[Community]:

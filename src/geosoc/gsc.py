@@ -149,7 +149,6 @@ def find_gsc(
     k: int,
     prune_level: PruneLevel,
     d: float,
-    eps: float = DEFAULT_EPS,
 ) -> tuple[list[SpatialCluster], ComparisonStats]:
     """Keep the local clusters of size >= k that no other one contains.
 
@@ -194,7 +193,7 @@ def find_gsc(
     # the filter's order, so the kept sets' numbers are that order already.
     for attempt in range(3):
         chosen = np.flatnonzero(kept)
-        count, contained = _comparisons(prune_level, kept, chosen, set_ref, table, nbhd, r, eps)
+        count, contained = _comparisons(prune_level, kept, chosen, set_ref, table, nbhd, r)
         wrong = contained == kept
         if not wrong.any() or attempt == 2:
             break
@@ -235,7 +234,7 @@ def _by_column(rows: np.ndarray, sizes: np.ndarray, n_cols: int):
     return pattern.indptr.astype(np.int64), pattern.indices.astype(np.int64)
 
 
-def _comparisons(prune_level, kept, chosen, set_ref, table, nbhd, r, eps):
+def _comparisons(prune_level, kept, chosen, set_ref, table, nbhd, r):
     """Subset comparisons the sequential filter makes on these sets, and
     which sets some kept set contains.
 
@@ -263,6 +262,7 @@ def _comparisons(prune_level, kept, chosen, set_ref, table, nbhd, r, eps):
     stop = _sorted_search(near_key, set_ref * n_kept + bound) - start
 
     x_lo, x_hi, y_lo, y_hi = center_rect(table, r)
+    eps = DEFAULT_EPS
     # apart exactly when some entry of (x_lo, -x_hi - eps, y_lo, -y_hi - eps)
     # of one set exceeds that of (x_hi + eps, -x_lo, y_hi + eps, -y_lo) of the other
     mine = np.stack((x_lo, -(x_hi + eps), y_lo, -(y_hi + eps)), axis=1)
@@ -333,7 +333,6 @@ def global_spatial_clusters(
     d: float,
     k: int = 1,
     prune_level: PruneLevel = PruneLevel.RULE1_2,
-    eps: float = DEFAULT_EPS,
     stats_out: ComparisonStats | None = None,
 ) -> list[SpatialCluster]:
     """Every maximal set coverable by a circle of diameter d, size >= k.
@@ -356,9 +355,9 @@ def global_spatial_clusters(
     gc.disable()
     try:
         grid = build_grid(pts, d)
-        nbhd = range_query_disk(grid, None, d, eps)
-        families = local_member_families(nbhd, d / 2, eps, min_size=k)
-        out, stats = find_gsc(families, k=k, prune_level=prune_level, d=d, eps=eps)
+        nbhd = range_query_disk(grid, None, d)
+        families = local_member_families(nbhd, d / 2, min_size=k)
+        out, stats = find_gsc(families, k=k, prune_level=prune_level, d=d)
     finally:
         if collecting:
             gc.enable()

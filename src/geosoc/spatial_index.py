@@ -107,9 +107,8 @@ class Neighbours:
     in memory; point i is the index's ``order[i]``-th point (insertion
     order).  Row i, ``nbrs[offsets[i]:offsets[i + 1]]``, holds the numbers
     of the points within reach of point i, itself included, in ascending
-    id order; ``dist`` holds the matching distances.  Its length is the
-    number of (center, point) pairs, as the sum of the per-point query
-    lengths.
+    id order.  Its length is the number of (center, point) pairs, as the
+    sum of the per-point query lengths.
     """
 
     ids: np.ndarray
@@ -118,7 +117,6 @@ class Neighbours:
     order: np.ndarray
     offsets: np.ndarray
     nbrs: np.ndarray
-    dist: np.ndarray
 
     def __len__(self) -> int:
         return len(self.nbrs)
@@ -148,7 +146,7 @@ def _lookup(idx: GridIndex, x_lo, x_hi, y_lo, y_hi):
     return slot, (idx.cells[slot] == qkey) & inside.reshape(len(lo_x), -1)
 
 
-def _all_disks(idx: GridIndex, radius: float, eps: float) -> Neighbours:
+def _all_disks(idx: GridIndex, radius: float) -> Neighbours:
     """One bulk join: the tree lists every pair within the reach and its
     slack once, as cell numbers (i, j) with i < j; the pairs are kept by
     the same closed distance test, then recorded both ways.  Distances are
@@ -158,8 +156,8 @@ def _all_disks(idx: GridIndex, radius: float, eps: float) -> Neighbours:
     n, by_cell = idx.n_points, idx.order
     ids, sx, sy = idx.ids[by_cell], idx.xs[by_cell], idx.ys[by_cell]
     if n == 0:
-        return Neighbours(ids, sx, sy, by_cell, np.zeros(1, np.int64), by_cell, np.zeros(0))
-    reach = radius + eps
+        return Neighbours(ids, sx, sy, by_cell, np.zeros(1, np.int64), by_cell)
+    reach = radius + DEFAULT_EPS
     one, two = idx.tree.query_pairs(reach * (1 + 1e-12), output_type="ndarray").T
     dx = sx[two] - sx[one]
     dy = sy[two] - sy[one]
@@ -167,37 +165,35 @@ def _all_disks(idx: GridIndex, radius: float, eps: float) -> Neighbours:
     for t in np.flatnonzero(dist >= reach * (1 - 1e-12)):
         dist[t] = math.hypot(dx[t], dy[t])
     keep = dist <= reach
-    one, two, dist = one[keep], two[keep], dist[keep]
+    one, two = one[keep], two[keep]
     every = np.arange(n)
     center = np.concatenate((one, two, every))
     other = np.concatenate((two, one, every))
-    dist = np.concatenate((dist, dist, np.zeros(n)))
     id_rank = np.empty(n, np.int64)
     id_rank[np.argsort(ids, kind="stable")] = every
     order = np.argsort(center * n + id_rank[other])
     offsets = np.zeros(n + 1, np.int64)
     np.cumsum(np.bincount(center, minlength=n), out=offsets[1:])
-    return Neighbours(ids, sx, sy, by_cell, offsets, other[order], dist[order])
+    return Neighbours(ids, sx, sy, by_cell, offsets, other[order])
 
 
-def range_query_disk(
-    idx: GridIndex, center: GeoPoint | None, radius: float, eps: float = DEFAULT_EPS
-):
-    """Ids of indexed points within radius (closed, eps slack), ascending.
+def range_query_disk(idx: GridIndex, center: GeoPoint | None, radius: float):
+    """Ids of indexed points within radius (closed, DEFAULT_EPS slack),
+    ascending.
 
     The index's tree offers the points within (radius + eps) * (1 + 1e-12),
     a relative slack over the tree's own rounding, and each is kept by the
-    closed test math.hypot(dx, dy) <= radius + eps.
+    closed test math.hypot(dx, dy) <= radius + eps, with eps DEFAULT_EPS.
     With center None every indexed point is a center at once, and the
     result is the Neighbours table of all those queries.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if center is None:
-        return _all_disks(idx, radius, eps)
+        return _all_disks(idx, radius)
     if idx.n_points == 0:
         return []
-    reach = radius + eps
+    reach = radius + DEFAULT_EPS
     x, y = center.x, center.y
     ids, xs, ys = idx._by_cell
     near = idx.tree.query_ball_point((x, y), reach * (1 + 1e-12), return_sorted=False)
@@ -210,10 +206,9 @@ def range_query_rect(
     x_hi: np.ndarray,
     y_lo: np.ndarray,
     y_hi: np.ndarray,
-    eps: float = DEFAULT_EPS,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Many closed rectangle queries (eps slack) in one pass, one rectangle
-    per entry of the bound arrays.
+    """Many closed rectangle queries (DEFAULT_EPS slack) in one pass, one
+    rectangle per entry of the bound arrays.
 
     Every grid cell that meets a rectangle is looked up for all rectangles
     at once.  The result is the CSR pair (offsets, hits): row i,
@@ -226,6 +221,7 @@ def range_query_rect(
     offsets = np.zeros(m + 1, np.int64)
     if n == 0 or m == 0:
         return offsets, np.zeros(0, np.int64)
+    eps = DEFAULT_EPS
     x_lo, x_hi, y_lo, y_hi = x_lo - eps, x_hi + eps, y_lo - eps, y_hi + eps
     rows, hits = [], []
     for lo in range(0, m, _JOIN_BLOCK):

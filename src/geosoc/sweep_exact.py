@@ -37,7 +37,7 @@ from .model import (
     SpatialCluster,
     euclidean_distance,
 )
-from .spatial_index import Neighbours
+from .spatial_index import Neighbours, build_grid, range_query_disk
 
 TAU = 2.0 * math.pi
 
@@ -116,29 +116,32 @@ def _one_hot(slot: np.ndarray, live: np.ndarray, words: int) -> np.ndarray:
 class _Sweep:
     """Angular sweep over many references, a chunk of references at a time."""
 
-    def __init__(self, nbhd: Neighbours, r: float, eps: float, active: np.ndarray):
+    def __init__(self, nbhd: Neighbours, r: float, active: np.ndarray):
         self.nbhd = nbhd
         row = nbhd.row_of()
         if active.all():
-            entry, other, dist = np.arange(len(row)), nbhd.nbrs, nbhd.dist.copy()
+            entry, other = np.arange(len(row)), nbhd.nbrs
         else:
             entry = np.flatnonzero(active[row])
-            row, other, dist = row[entry], nbhd.nbrs[entry], nbhd.dist[entry]
-        xs, ys = nbhd.xs, nbhd.ys
-        two_r = 2 * r
-        if np.any(dist > two_r + eps):
-            raise TooFar(f"a candidate lies beyond 2r = {two_r:.6g} of its reference")
+            row, other = row[entry], nbhd.nbrs[entry]
+        # each pair's offset from its reference, and its distance as the join
+        # measures it; math.hypot decides near 0 (the base test), and libm
+        # windows near 2r (_STEEP)
+        dx = nbhd.xs[other] - nbhd.xs[row]
+        dy = nbhd.ys[other] - nbhd.ys[row]
+        dist = np.sqrt(dx * dx + dy * dy)
         own = other == row
-        near = np.flatnonzero((dist <= 2 * eps) & ~own)
-        dist[near] = [math.hypot(xs[j] - xs[i], ys[j] - ys[i]) for i, j in zip(row[near], other[near])]
+        near = np.flatnonzero((dist <= 2 * DEFAULT_EPS) & ~own)
+        dist[near] = [math.hypot(dx[t], dy[t]) for t in near.tolist()]
         # the reference and its coincident points join every group
-        base = own | (dist <= eps)
+        base = own | (dist <= DEFAULT_EPS)
         slot = entry - nbhd.offsets[row]
         self.base_row, self.base_slot = row[base], slot[base]
         win = np.flatnonzero(~base)
         self.row, self.other, self.slot = row[win], other[win], slot[win]
+        two_r = 2 * r
         ratio = np.clip(dist[win] / two_r, 0.0, 1.0)
-        alpha = np.arctan2(ys[self.other] - ys[self.row], xs[self.other] - xs[self.row])
+        alpha = np.arctan2(dy[win], dx[win])
         width = np.arccos(ratio)
         self.s = alpha - width
         self.e = alpha + width
@@ -361,20 +364,21 @@ def _maximal_groups(n_rows: int, row: np.ndarray, masks: np.ndarray):
     return which[ufirst[keep]], new_id[uid]
 
 
-def local_member_families(nbhd: Neighbours, r: float, eps: float = DEFAULT_EPS, min_size: int = 1) -> LocalFamilies:
+def local_member_families(nbhd: Neighbours, r: float, min_size: int = 1) -> LocalFamilies:
     """All maximal sets coverable by a radius-r circle through each point.
 
+    nbhd is the disk join at radius 2r (range_query_disk with center None).
     Every point whose neighbourhood holds at least min_size points (itself
     included) is a reference.  Each other neighbour u at distance d_u
     contributes the angular window of half-width acos(d_u / 2r) around its
     bearing from the reference, and all references are swept
-    at once as the module docstring describes.  Points within eps of the
-    reference join every group.  Backs local_spatial_clusters and
+    at once as the module docstring describes.  Points within DEFAULT_EPS
+    of the reference join every group.  Backs local_spatial_clusters and
     global_spatial_clusters.
     """
     counts = np.diff(nbhd.offsets)
     active = counts >= max(min_size, 1)
-    sweep = _Sweep(nbhd, r, eps, active)
+    sweep = _Sweep(nbhd, r, active)
     swept = np.flatnonzero(active & (sweep.m > 0))
     parts, tied = sweep.run(swept, exact=False)
     if len(tied):
@@ -403,30 +407,25 @@ def local_spatial_clusters(
     v: GeoPoint,
     candidates: Iterable[GeoPoint],
     r: float,
-    eps: float = DEFAULT_EPS,
 ) -> list[SpatialCluster]:
     """All maximal sets coverable by a radius-r circle through v.
 
     Every returned cluster contains v; no cluster is a subset of another.
     Candidates coincident with v are enclosed by every such circle and so
-    join every cluster.
+    join every cluster.  The candidates and v are swept together, as the
+    global stage sweeps every point, and v's families are kept.
     """
     pts = [v] + [u for u in candidates if u.id != v.id]
     for u in pts[1:]:
         dist = euclidean_distance(v, u)
-        if dist > 2 * r + eps:
+        if dist > 2 * r + DEFAULT_EPS:
             raise TooFar(f"point {u.id} is {dist:.6g} away from {v.id}, beyond 2r = {2 * r:.6g}")
-    ids = np.array([p.id for p in pts], np.int64)
-    xs = np.array([p.x for p in pts], np.float64)
-    ys = np.array([p.y for p in pts], np.float64)
-    order = np.argsort(ids, kind="stable")
-    offsets = np.full(len(pts) + 1, len(pts), np.int64)
-    offsets[0] = 0
-    dist = np.array([euclidean_distance(v, pts[j]) for j in order.tolist()])
-    nbhd = Neighbours(ids, xs, ys, np.arange(len(pts)), offsets, order, dist)
-    fam = local_member_families(nbhd, r, eps)
+    nbhd = range_query_disk(build_grid(pts, 2 * r), None, 2 * r)
+    fam = local_member_families(nbhd, r)
+    # v is the grid's first point: its cell number c has nbhd.order[c] == 0
     clusters = [
-        SpatialCluster(tuple(ids[fam.members[a:b]].tolist()), v.id, ClusterKind.EXACT_CIRCLE)
-        for a, b in zip(fam.offsets[:-1].tolist(), fam.offsets[1:].tolist())
+        SpatialCluster(tuple(nbhd.ids[fam.members[a:b]].tolist()), v.id, ClusterKind.EXACT_CIRCLE)
+        for c, a, b in zip(fam.refs.tolist(), fam.offsets[:-1].tolist(), fam.offsets[1:].tolist())
+        if nbhd.order[c] == 0
     ]
     return sorted(clusters, key=lambda c: c.members)

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from geosoc.approx import _check_extremes, _stab, _windows
+from geosoc.approx import _check_extremes, _stab
 from geosoc.gsc import ComparisonStats, EmptyCluster, PruneLevel
 from geosoc.model import DEFAULT_EPS, ClusterKind, GeoPoint, SpatialCluster, euclidean_distance
 from geosoc.spatial_index import build_grid, range_query_disk
@@ -86,7 +86,6 @@ def find_gsc(
     prune_level: PruneLevel = PruneLevel.NONE,
     d: float | None = None,
     points: Iterable[GeoPoint] | Mapping[int, GeoPoint] | None = None,
-    eps: float = DEFAULT_EPS,
 ) -> tuple[list[SpatialCluster], ComparisonStats]:
     """Keep clusters of size >= k that are not contained in any other.
 
@@ -128,7 +127,7 @@ def find_gsc(
         if use_ref:
             near = near_refs.get(c.reference)
             if near is None:
-                near = range_query_disk(ref_grid, pmap[c.reference], d, eps)
+                near = range_query_disk(ref_grid, pmap[c.reference], d)
                 near_refs[c.reference] = near
             candidate_idx: list[int] = []
             for rid in near:
@@ -145,10 +144,10 @@ def find_gsc(
             for i in candidate_idx:
                 other = accepted_rects[i]
                 if (
-                    x_lo > other.x_hi + eps
-                    or other.x_lo > x_hi + eps
-                    or y_lo > other.y_hi + eps
-                    or other.y_lo > y_hi + eps
+                    x_lo > other.x_hi + DEFAULT_EPS
+                    or other.x_lo > x_hi + DEFAULT_EPS
+                    or y_lo > other.y_hi + DEFAULT_EPS
+                    or other.y_lo > y_hi + DEFAULT_EPS
                 ):
                     continue
                 comparisons += 1
@@ -185,11 +184,13 @@ def local_approx_clusters(
     The square's horizontal extent is fixed at [p.x, p.x + d], so only the
     top edge remains free; the maximal stabbing groups of the per-point
     top-edge windows are exactly the answer, and every group contains p.
+    Each window [max(p.y, q.y), min(p.y, q.y) + d] is widened by eps.
     """
     pts = list(slab)
     if all(q.id != p.id for q in pts):
         pts.append(p)
-    t_lo, t_hi = _windows(p.y, np.array([q.y for q in pts], np.float64), d, eps)
+    qy = np.array([q.y for q in pts], np.float64)
+    t_lo, t_hi = np.maximum(qy, p.y) - eps, np.minimum(qy, p.y) + d + eps
     keep = np.flatnonzero(t_lo <= t_hi)
     _, group, window = _stab(np.zeros(len(keep), np.int64), t_lo[keep], t_hi[keep])
     groups: list[list[int]] = [[] for _ in range(int(group.max(initial=-1)) + 1)]
@@ -221,9 +222,7 @@ def check_global(
     return _check_extremes(labels, _extreme_ids([points[m] for m in cs.members]))
 
 
-def sequential_gasc(
-    points: Sequence[GeoPoint], d: float, k: int = 1, eps: float = DEFAULT_EPS
-) -> list[SpatialCluster]:
+def sequential_gasc(points: Sequence[GeoPoint], d: float, k: int = 1) -> list[SpatialCluster]:
     """The square sweep one reference point at a time, by x, then y, then id.
 
     Each local cluster of size >= k at the reference is kept unless
@@ -238,6 +237,7 @@ def sequential_gasc(
     out: list[SpatialCluster] = []
     epoch_x: float | None = None
     same_x: list[frozenset[int]] = []
+    eps = DEFAULT_EPS
     for p in sorted(points, key=lambda q: (q.x, q.y, q.id)):
         if p.x != epoch_x:
             epoch_x, same_x = p.x, []
@@ -245,7 +245,7 @@ def sequential_gasc(
             q for q in points
             if p.x - eps <= q.x <= p.x + d + eps and p.y - d - eps <= q.y <= p.y + d + eps
         ]
-        for c in local_approx_clusters(p, slab, d, eps):
+        for c in local_approx_clusters(p, slab, d):
             mset = frozenset(c.members)
             if len(mset) < k or not check_global(labels, pmap, c) or any(mset <= s for s in same_x):
                 continue

@@ -239,19 +239,6 @@ def test_integer_grids_with_exact_ties():
         assert families(find_gasc(pts, d)) == families(oracle_gasc(pts, d)), (w, h, d)
 
 
-def test_integer_grids_without_slack():
-    # with eps 0, windows that only touch share their end point exactly
-    import itertools
-
-    for w, h, d in [(3, 3, 1.0), (4, 3, 2.0), (2, 6, 1.0), (5, 2, 3.0)]:
-        pts = [
-            pt(i, float(x), float(y))
-            for i, (x, y) in enumerate(itertools.product(range(w), range(h)))
-        ]
-        got = find_gasc(pts, d, eps=0.0)
-        assert families(got) == families(oracle_gasc(pts, d, eps=0.0)), (w, h, d)
-
-
 def test_references_closer_in_x_than_eps():
     # a reference within eps to the right of another still sees it in its
     # slab, so the registry must keep that point's labels

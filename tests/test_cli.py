@@ -1,4 +1,6 @@
 import json
+import os
+import signal
 
 import pytest
 
@@ -270,6 +272,23 @@ def test_bench_reads_a_location_file_once(tmp_path, monkeypatch):
     assert [(r.cell.algo, r.n, r.cell.d, r.status) for r in reports] == [
         (algo, n, d, "ok") for algo in cfg.algos for n in (50, 100) for d in cfg.ds
     ]
+
+
+def test_bench_killed_cell_is_an_error_row(tmp_path, monkeypatch):
+    # a child killed before it sends (SIGKILL, the OOM killer) leaves its
+    # pipe at end of file: the cell is an error row and the sweep goes on
+    real = bench._child
+
+    def killed_at_d20(points, cell, conn):
+        if cell.d == 20.0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        real(points, cell, conn)
+
+    monkeypatch.setattr(bench, "_child", killed_at_d20)
+    out = tmp_path / "bench.csv"
+    reports = bench.run_bench(bench.BenchConfig(algos=("approx",), ds=(20.0, 30.0), ns=(50,)), out)
+    assert [(r.cell.d, r.status) for r in reports] == [(20.0, "error"), (30.0, "ok")]
+    assert [row.split(",")[-1] for row in out.read_text().splitlines()[1:]] == ["error", "ok"]
 
 
 def test_bench_malformed_location_file_is_input_error(tmp_path):

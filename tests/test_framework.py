@@ -11,6 +11,7 @@ from geosoc.framework import (
     detect_mccs,
     find_global_mcc,
     search_mccs,
+    spatial_clusters,
 )
 from geosoc.model import (
     DEFAULT_EPS,
@@ -64,6 +65,13 @@ def test_spatially_impossible_instance_is_empty():
 
 def com(members, k=2):
     return Community.from_members(members, k, SocialKind.CORE)
+
+
+@pytest.mark.parametrize("algo", list(SpatialAlgo))
+def test_every_spatial_mode_applies_the_minimum_size(algo):
+    # at d = 30 the lone point (0, 0) is a cluster of one: below k = 2
+    pts = [GeoPoint(0, 0.0, 0.0), GeoPoint(1, 100.0, 0.0), GeoPoint(2, 101.0, 0.0)]
+    assert [c.members for c in spatial_clusters(pts, cfg(d=30.0, k=2, algo=algo))] == [(1, 2)]
 
 
 def test_find_global_mcc_removes_strict_subset():

@@ -198,6 +198,20 @@ def test_global_matches_oracle_on_shifted_integer_lattices(cells, doubled, d, sh
     assert families(global_spatial_clusters(pts, d)) == families(oracle_gsc(pts, d))
 
 
+@given(
+    seed=st.integers(0, 2**16),
+    venues=st.integers(4, 15),
+    d=st.sampled_from([10.0, 20.0]),
+)
+def test_global_matches_oracle_on_venue_check_ins(seed, venues, d):
+    # check-in data puts several users on one venue: a reference with
+    # coincident neighbours is flagged as tied and swept on the doubled line
+    rng = np.random.default_rng(seed)
+    xy = np.repeat(rng.uniform(0, 60, (venues, 2)), rng.integers(1, 6, venues), axis=0)
+    pts = [GeoPoint(i, float(x), float(y)) for i, (x, y) in enumerate(xy)]
+    assert families(global_spatial_clusters(pts, d)) == families(oracle_gsc(pts, d))
+
+
 def _sequential_count(pts, d, level):
     out, stats = find_gsc(_lsc_families(pts, d), k=1, prune_level=level, d=d, points=pts)
     return families(out), stats.comparisons

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geosoc.model import DuplicateId, GeoPoint
+from geosoc.model import DEFAULT_EPS, DuplicateId, GeoPoint
 from geosoc.spatial_index import (
     EmptyRange,
     NonPositiveCellSize,
@@ -23,10 +23,10 @@ def _cell_members(idx):
     return out
 
 
-def rect_ids(idx, x_lo, x_hi, y_lo, y_hi, eps=1e-9):
+def rect_ids(idx, x_lo, x_hi, y_lo, y_hi):
     """Ids inside one closed rectangle, ascending, from a one-row batch."""
     bounds = (np.array([v], np.float64) for v in (x_lo, x_hi, y_lo, y_hi))
-    offsets, hits = range_query_rect(idx, *bounds, eps)
+    offsets, hits = range_query_rect(idx, *bounds)
     assert offsets.tolist() == [0, len(hits)]
     return sorted(idx.ids[hits].tolist())
 
@@ -188,53 +188,54 @@ def test_rect_batch_matches_single_queries():
 
 
 def _disk_cases():
-    """(points, radius, eps) instances for the bulk and scalar disk queries."""
+    """(points, radius) instances for the bulk and scalar disk queries."""
     rng = np.random.default_rng(3)
     for seed in range(6):
-        yield random_points(seed + 60, 20 + 25 * seed, gaussian=bool(seed % 2)), float(rng.uniform(2, 30)), 1e-9
-    # integer lattices put points on cell edges, and with no slack the pairs
-    # exactly the radius apart on the closed boundary
+        yield random_points(seed + 60, 20 + 25 * seed, gaussian=bool(seed % 2)), float(rng.uniform(2, 30))
+    # integer lattices put points on cell edges; a radius eps short of an
+    # integer puts the reach radius + eps on that integer (exactly, in
+    # floats), so pairs at the lattice distance lie on the closed boundary
     lattice = [GeoPoint(9 * a + b, float(a), float(b)) for a in range(9) for b in range(9)]
     for radius in (1.0, 2.0, 5.0):
-        yield lattice, radius, 0.0
-    yield [GeoPoint(p.id, 3.0 * p.x, 3.0 * p.y) for p in lattice], 6.0, 1e-9
+        yield lattice, radius - DEFAULT_EPS
+    yield [GeoPoint(p.id, 3.0 * p.x, 3.0 * p.y) for p in lattice], 6.0
     # coincident points
-    yield [GeoPoint(i, float(i % 3), 0.0) for i in range(12)], 1.0, 0.0
-    yield [GeoPoint(i, 5.0, 5.0) for i in range(7)], 0.0, 0.0
+    yield [GeoPoint(i, float(i % 3), 0.0) for i in range(12)], 1.0 - DEFAULT_EPS
+    yield [GeoPoint(i, 5.0, 5.0) for i in range(7)], 0.0
     # negative coordinates, then a large shift
     pts = random_points(71, 90)
-    yield [GeoPoint(p.id, p.x - 50.0, p.y - 50.0) for p in pts], 12.0, 1e-9
-    yield [GeoPoint(p.id, p.x + 1e6, p.y - 1e6) for p in pts], 12.0, 1e-9
+    yield [GeoPoint(p.id, p.x - 50.0, p.y - 50.0) for p in pts], 12.0
+    yield [GeoPoint(p.id, p.x + 1e6, p.y - 1e6) for p in pts], 12.0
     # points so far apart, in cells so small, that cell numbers need 64 bits
-    yield [GeoPoint(0, 0.0, 0.0), GeoPoint(1, 5e-4, 0.0), GeoPoint(2, 1e7, 1e7), GeoPoint(3, 1e7, -1e7)], 1e-3, 1e-9
-    yield [], 5.0, 1e-9
-    yield [GeoPoint(8, -1.5, 2.5)], 5.0, 1e-9
+    yield [GeoPoint(0, 0.0, 0.0), GeoPoint(1, 5e-4, 0.0), GeoPoint(2, 1e7, 1e7), GeoPoint(3, 1e7, -1e7)], 1e-3
+    yield [], 5.0
+    yield [GeoPoint(8, -1.5, 2.5)], 5.0
 
 
 def test_disk_batch_matches_single_queries():
-    for pts, radius, eps in _disk_cases():
+    for pts, radius in _disk_cases():
         for cell in (radius or 1.0, 0.7 * (radius or 1.0)):
             idx = build_grid(pts, cell)
-            nbhd = range_query_disk(idx, None, radius, eps)
+            nbhd = range_query_disk(idx, None, radius)
             assert len(nbhd.ids) == len(pts) and sorted(nbhd.order.tolist()) == list(range(len(pts)))
             total = 0
             for i in range(len(pts)):
                 row = nbhd.ids[nbhd.nbrs[nbhd.offsets[i] : nbhd.offsets[i + 1]]].tolist()
                 center = pts[nbhd.order[i]]
-                want = range_query_disk(idx, center, radius, eps)
-                assert row == want == naive_disk(pts, center, radius, eps)
+                want = range_query_disk(idx, center, radius)
+                assert row == want == naive_disk(pts, center, radius)
                 total += len(want)
             assert len(nbhd) == total
 
 
-def _assert_disks_match_naive(pts, radius, eps):
+def _assert_disks_match_naive(pts, radius):
     idx = build_grid(pts, radius)
-    nbhd = range_query_disk(idx, None, radius, eps)
+    nbhd = range_query_disk(idx, None, radius)
     for i in range(len(pts)):
         center = pts[nbhd.order[i]]
-        want = naive_disk(pts, center, radius, eps)
+        want = naive_disk(pts, center, radius)
         assert nbhd.ids[nbhd.nbrs[nbhd.offsets[i] : nbhd.offsets[i + 1]]].tolist() == want
-        assert range_query_disk(idx, center, radius, eps) == want
+        assert range_query_disk(idx, center, radius) == want
 
 
 @given(
@@ -243,10 +244,11 @@ def _assert_disks_match_naive(pts, radius, eps):
     shift=st.tuples(st.integers(-10**7, 10**7), st.integers(-10**7, 10**7)),
 )
 def test_disks_on_shifted_integer_lattices(cells, radius, shift):
-    # an integer shift keeps integer coordinates exact, so with no slack the
-    # axis pairs and 3-4-5 pairs lie exactly at the reach
+    # an integer shift keeps integer coordinates exact, so with the radius
+    # eps short of an integer the axis pairs and 3-4-5 pairs lie exactly at
+    # the reach
     pts = [GeoPoint(i, float(x + shift[0]), float(y + shift[1])) for i, (x, y) in enumerate(sorted(cells))]
-    _assert_disks_match_naive(pts, float(radius), 0.0)
+    _assert_disks_match_naive(pts, radius - DEFAULT_EPS)
 
 
 @given(
@@ -254,9 +256,8 @@ def test_disks_on_shifted_integer_lattices(cells, radius, shift):
     n=st.integers(1, 60),
     radius=st.floats(1e-3, 30),
     shift=st.tuples(st.floats(-1e7, 1e7), st.floats(-1e7, 1e7)),
-    eps=st.sampled_from([0.0, 1e-9]),
 )
-def test_disks_far_from_origin(seed, n, radius, shift, eps):
+def test_disks_far_from_origin(seed, n, radius, shift):
     # near 1e7 the float spacing (about 1.9e-9) is a sizeable share of a
     # 1e-3 radius, so the tree's candidate slack must hold in relative terms;
     # every other point sits at the reach from the one before it, where
@@ -264,9 +265,9 @@ def test_disks_far_from_origin(seed, n, radius, shift, eps):
     rng = np.random.default_rng(seed)
     xy = rng.uniform(0, 4 * radius, (n, 2))
     angle = rng.uniform(0, 2 * np.pi, n // 2)
-    xy[1::2] = xy[::2][: n // 2] + (radius + eps) * np.column_stack((np.cos(angle), np.sin(angle)))
+    xy[1::2] = xy[::2][: n // 2] + (radius + DEFAULT_EPS) * np.column_stack((np.cos(angle), np.sin(angle)))
     xy += shift
-    _assert_disks_match_naive([GeoPoint(i, float(x), float(y)) for i, (x, y) in enumerate(xy)], radius, eps)
+    _assert_disks_match_naive([GeoPoint(i, float(x), float(y)) for i, (x, y) in enumerate(xy)], radius)
 
 
 def test_rect_batch_edge_cases():

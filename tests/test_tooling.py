@@ -91,3 +91,6 @@ def test_bench_pairs_prints_its_usage():
     # the geosoc bench cell mode: its command and its section
     assert "python3 -m geosoc bench --algos A --n N" in proc.stdout
     assert "geosoc_bench_seed<S>" in proc.stdout
+    # either mode stops when the two sides' outputs differ
+    assert "whose member digest differs" in proc.stdout
+    assert "``comparisons`` or ``clusters``" in proc.stdout
