@@ -19,10 +19,11 @@ under the section ``end_to_end_seed<S>`` (``traced_seed<S>`` with
 
 With --algo, a measurement is ``python3 -m geosoc bench --algos A --n N
 --d 30 --seed S`` with PYTHONPATH set to the tree's ``src``.  A cell
-whose status is not ``ok``, or whose ``comparisons`` or ``clusters``
-differ from any earlier run of either side, stops the script.  The pairs
-go under the section ``geosoc_bench_seed<S>`` and the key ``A n=N``,
-with the cell's comparisons and clusters.
+whose status is not ``ok``, or whose ``comparisons_unpruned``,
+``comparisons_rule1``, ``comparisons`` or ``clusters`` differ from any
+earlier run of either side, stops the script.  The pairs go under the
+section ``geosoc_bench_seed<S>`` and the key ``A n=N``, with those four
+counts of the cell.
 
 Either way the pairs are written into BENCH_<label>.json at the root of
 this repository, replacing an earlier entry under the same key: each
@@ -49,6 +50,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+#: the columns of a geosoc bench row that both sides must agree on
+CELL_COUNTS = ("comparisons_unpruned", "comparisons_rule1", "comparisons", "clusters")
 
 
 def run_once(tree: Path, workload: str, seed: int, trace: int) -> tuple[dict, str]:
@@ -65,7 +68,7 @@ def run_once(tree: Path, workload: str, seed: int, trace: int) -> tuple[dict, st
     return metrics, detail["member_digest"][:16]
 
 
-def run_cell(tree: Path, algo: str, n: int, seed: int) -> tuple[dict, tuple[str, str]]:
+def run_cell(tree: Path, algo: str, n: int, seed: int) -> tuple[dict, tuple]:
     cmd = [sys.executable, "-m", "geosoc", "bench", "--algos", algo, "--n", str(n), "--d", "30",
            "--seed", str(seed), "--out"]
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
@@ -78,7 +81,8 @@ def run_cell(tree: Path, algo: str, n: int, seed: int) -> tuple[dict, tuple[str,
             (row,) = csv.DictReader(fh)
     if row["status"] != "ok":
         sys.exit(f"{tree}: {' '.join(cmd)}: cell status {row['status']}")
-    return {"seconds": float(row["seconds"])}, (row["comparisons"], row["clusters"])
+    # a column missing from an older header reads empty, and so differs
+    return {"seconds": float(row["seconds"])}, tuple(row.get(name, "") for name in CELL_COUNTS)
 
 
 def summary(values: list[float]) -> dict:
@@ -127,7 +131,7 @@ def main() -> int:
         def measure(tree):
             return run_cell(tree, args.algo, args.n, args.seed)
         section = f"geosoc_bench_seed{args.seed}"
-        key, shown, checked = f"{args.algo} n={args.n}", ("seconds",), "(comparisons, clusters)"
+        key, shown, checked = f"{args.algo} n={args.n}", ("seconds",), f"({', '.join(CELL_COUNTS)})"
 
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     seen: set = set()
@@ -148,9 +152,8 @@ def main() -> int:
         entry["all_correct"] = True
         (entry["member_digest"],) = seen
     else:
-        (comparisons, clusters), = seen
-        entry["comparisons"] = int(comparisons) if comparisons else None
-        entry["clusters"] = int(clusters)
+        (counts,) = seen
+        entry.update({name: int(value) if value else None for name, value in zip(CELL_COUNTS, counts)})
     for name in runs["change"][0]:
         per_side = {side: [r[name] for r in runs[side]] for side in SIDES}
         entry[name] = {

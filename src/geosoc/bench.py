@@ -8,6 +8,7 @@ never aborts the sweep.
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import time
 import traceback
@@ -17,12 +18,14 @@ import numpy as np
 
 from .baseline import CliqueBudgetExceeded
 from .datagen import Distribution, GenSpec, generate
-from .framework import PRUNE_OF, DetectionConfig, SpatialAlgo, spatial_clusters
+from .framework import DetectionConfig, SpatialAlgo, spatial_clusters
 from .gsc import ComparisonStats
 from .io import load_locations
 from .model import GeoPoint, Params
 
-CSV_HEADER = "algo,dataset,n,density,d,k,seconds,comparisons,clusters,status"
+CSV_HEADER = (
+    "algo,dataset,n,density,d,k,seconds,comparisons_unpruned,comparisons_rule1,comparisons,clusters,status"
+)
 
 
 @dataclass(frozen=True)
@@ -40,11 +43,11 @@ class BenchCell:
 @dataclass(frozen=True)
 class RunReport:
     """A cell and what its child measured: wall seconds, subset comparisons
-    (exact modes), cluster count and cell status."""
+    at each prune level (exact mode), cluster count and cell status."""
 
     cell: BenchCell
     seconds: float
-    comparisons: int | None
+    comparisons: ComparisonStats | None
     clusters: int | None
     status: str
 
@@ -55,7 +58,8 @@ class RunReport:
     def csv_row(self) -> str:
         c = self.cell
         density = "" if c.density is None else f"{c.density:g}"
-        comparisons = "" if self.comparisons is None else str(self.comparisons)
+        stats = self.comparisons
+        comparisons = ",," if stats is None else f"{stats.unpruned},{stats.rule1},{stats.comparisons}"
         clusters = "" if self.clusters is None else str(self.clusters)
         return (
             f"{c.algo},{c.dataset},{c.n},{density},{c.d:g},{c.k},"
@@ -91,6 +95,8 @@ class BenchConfig:
         for ratio in self.ratios:
             if not 0.0 < ratio <= 1.0:
                 raise ValueError(f"sample ratio {ratio:g} is outside (0, 1]")
+        if not 0.0 < self.timeout_s < math.inf:
+            raise ValueError(f"timeout {self.timeout_s:g} s is not positive and finite")
 
 
 def _sample_ratio(points: list[GeoPoint], ratio: float, seed: int) -> list[GeoPoint]:
@@ -117,15 +123,15 @@ def _datasets(cfg: BenchConfig, located: list[GeoPoint] | None):
 
 def _child(points: list[GeoPoint], cell: BenchCell, conn) -> None:
     """Time the spatial stage on inherited points and send back
-    (seconds, comparisons, clusters, status)."""
+    (seconds, comparison stats, clusters, status)."""
     try:
         cfg = DetectionConfig(Params(cell.d, cell.k), SpatialAlgo(cell.algo))
         stats = ComparisonStats()
         start = time.perf_counter()
         clusters = spatial_clusters(points, cfg, stats_out=stats)
         seconds = time.perf_counter() - start
-        comparisons = stats.comparisons if cfg.spatial_algo in PRUNE_OF else None
-        conn.send((seconds, comparisons, len(clusters), "ok"))
+        exact = cfg.spatial_algo is SpatialAlgo.EXACT_RULE12
+        conn.send((seconds, stats if exact else None, len(clusters), "ok"))
     except CliqueBudgetExceeded:
         conn.send((0.0, None, None, "budget"))
     except Exception:  # noqa: BLE001 - a cell failure must not kill the sweep

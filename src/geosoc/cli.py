@@ -146,10 +146,10 @@ def cmd_gen(args) -> int:
         seed=args.seed,
     )
     points = generate(spec)
-    write_locations(points, args.out)
     if args.edges_out:
         edges = attach_social_edges(points, args.m_nearest, args.extra_edges, seed=args.seed)
         write_edges(edges, args.edges_out)
+    write_locations(points, args.out)
     print(f"wrote {len(points)} points to {args.out}")
     return 0
 
@@ -223,6 +223,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.instances < 1:
+        raise ValueError(f"--instances must be at least 1, got {args.instances}")
     failures = 0
 
     def report(name: str, ok: bool) -> None:

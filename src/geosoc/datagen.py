@@ -91,6 +91,8 @@ def attach_social_edges(
     are dropped, so fewer may result).  This wiring is invented plumbing
     for benchmarks, not part of any real dataset.
     """
+    if m_nearest < 0 or n_random < 0:
+        raise ValueError(f"m_nearest ({m_nearest}) and n_random ({n_random}) must be non-negative")
     from scipy.spatial import cKDTree
 
     pts = list(points)

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 from .approx import find_gasc
 from .baseline import clique_clusters
-from .gsc import ComparisonStats, PruneLevel, global_spatial_clusters
+from .gsc import ComparisonStats, global_spatial_clusters
 from .model import Community, GeoPoint, GeoSocialNetwork, Params, SocialKind, SpatialCluster
 from .social import (
     induced_subgraph,
@@ -24,24 +24,13 @@ from .spatial_index import build_grid, range_query_disk
 
 
 class SpatialAlgo(enum.Enum):
-    EXACT = "exact"
-    EXACT_RULE1 = "exact-r1"
     EXACT_RULE12 = "exact-r12"
     APPROX = "approx"
     CLIQUE_BASELINE = "clique"
 
 
-#: prune level of each exact spatial mode
-PRUNE_OF = {
-    SpatialAlgo.EXACT: PruneLevel.NONE,
-    SpatialAlgo.EXACT_RULE1: PruneLevel.RULE1,
-    SpatialAlgo.EXACT_RULE12: PruneLevel.RULE1_2,
-}
-
 #: distance guarantee carried by each spatial mode's output
 BOUND_OF = {
-    SpatialAlgo.EXACT: "exact",
-    SpatialAlgo.EXACT_RULE1: "exact",
     SpatialAlgo.EXACT_RULE12: "exact",
     SpatialAlgo.APPROX: "sqrt2",
     SpatialAlgo.CLIQUE_BASELINE: "all_pair",
@@ -62,13 +51,11 @@ def spatial_clusters(
     """Stage-1 dispatch: spatial clusters of at least k points per the
     configured algorithm.
 
-    stats_out receives the subset-comparison count of the exact modes.
+    stats_out receives the subset-comparison counts of the exact mode.
     """
     p = cfg.params
-    if cfg.spatial_algo in PRUNE_OF:
-        return global_spatial_clusters(
-            points, p.d, k=p.k, prune_level=PRUNE_OF[cfg.spatial_algo], stats_out=stats_out,
-        )
+    if cfg.spatial_algo is SpatialAlgo.EXACT_RULE12:
+        return global_spatial_clusters(points, p.d, k=p.k, stats_out=stats_out)
     if cfg.spatial_algo is SpatialAlgo.APPROX:
         return find_gasc(points, p.d, k=p.k)
     return [c for c in clique_clusters(points, p.d) if len(c.members) >= p.k]

@@ -33,13 +33,13 @@ number of those comparisons without changing the result:
 
 That element-wise filter, run cluster by cluster over a list of
 SpatialCluster objects, is kept as the sequential reference in
-tests/reference.py.  find_gsc reports the comparison count that filter
-makes under the chosen prune level, derived from the final family.
+tests/reference.py.  find_gsc reports the comparison counts that filter
+makes with neither prune, with the first only and with both, all derived
+from the final family in one pass.
 """
 
 from __future__ import annotations
 
-import enum
 import gc
 from dataclasses import dataclass
 from itertools import islice
@@ -54,12 +54,6 @@ from .sweep_exact import LocalFamilies, local_member_families
 from .sweep_exact import spans as _spans
 
 
-class PruneLevel(enum.Enum):
-    NONE = "none"
-    RULE1 = "rule1"
-    RULE1_2 = "rule1_2"
-
-
 class EmptyCluster(GeoSocError):
     """A cluster operation received no members."""
 
@@ -67,9 +61,12 @@ class EmptyCluster(GeoSocError):
 @dataclass
 class ComparisonStats:
     """Element-wise subset comparisons that the paper's sequential filter
-    makes under the prune level (find_gsc derives the count)."""
+    makes on the same clusters (find_gsc derives them): with both prunes,
+    with the reference-distance prune only, and with none."""
 
     comparisons: int = 0
+    rule1: int = 0
+    unpruned: int = 0
 
 
 @dataclass(frozen=True)
@@ -147,7 +144,6 @@ def _member_sets(fam: LocalFamilies, k: int):
 def find_gsc(
     fam: LocalFamilies,
     k: int,
-    prune_level: PruneLevel,
     d: float,
 ) -> tuple[list[SpatialCluster], ComparisonStats]:
     """Keep the local clusters of size >= k that no other one contains.
@@ -156,9 +152,9 @@ def find_gsc(
     distinct member sets numbered in the sequential filter's order (larger
     sets first, then by members; see _member_sets), so every pass hands
     its kept sets to _comparisons in that order as they stand.  The output
-    is sorted by members and identical for every prune level; only the
-    comparison count changes: it is the count that the sequential filter
-    of tests/reference.py makes under prune_level, on the same clusters.
+    is sorted by members.  The stats are the comparisons that the
+    sequential filter of tests/reference.py makes on the same clusters, at
+    each prune level.
     """
     r = d / 2
     nbhd = fam.nbhd
@@ -193,7 +189,7 @@ def find_gsc(
     # the filter's order, so the kept sets' numbers are that order already.
     for attempt in range(3):
         chosen = np.flatnonzero(kept)
-        count, contained = _comparisons(prune_level, kept, chosen, set_ref, table, nbhd, r)
+        stats, contained = _comparisons(kept, chosen, set_ref, table, nbhd, r)
         wrong = contained == kept
         if not wrong.any() or attempt == 2:
             break
@@ -214,7 +210,7 @@ def find_gsc(
         list(map(refs.__getitem__, by_members)),
         ClusterKind.EXACT_CIRCLE,
     )
-    return out, ComparisonStats(count)
+    return out, stats
 
 
 def _sorted_search(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -234,9 +230,9 @@ def _by_column(rows: np.ndarray, sizes: np.ndarray, n_cols: int):
     return pattern.indptr.astype(np.int64), pattern.indices.astype(np.int64)
 
 
-def _comparisons(prune_level, kept, chosen, set_ref, table, nbhd, r):
-    """Subset comparisons the sequential filter makes on these sets, and
-    which sets some kept set contains.
+def _comparisons(kept, chosen, set_ref, table, nbhd, r):
+    """Subset comparisons the sequential filter makes on these sets at each
+    prune level, and which sets some kept set contains.
 
     chosen lists the kept sets in the sequential filter's order.  With the
     final family known, each count follows: a kept set is compared with
@@ -323,16 +319,13 @@ def _comparisons(prune_level, kept, chosen, set_ref, table, nbhd, r):
     meets[inner] = cand_meets[done]
     found = np.zeros(len(walk), bool)
     found[walk[inner]] = True
-    if prune_level is PruneLevel.NONE:
-        return int(limit.sum()), found
-    return int((admitted if prune_level is PruneLevel.RULE1 else meets).sum()), found
+    return ComparisonStats(int(meets.sum()), int(admitted.sum()), int(limit.sum())), found
 
 
 def global_spatial_clusters(
     points: Sequence[GeoPoint],
     d: float,
     k: int = 1,
-    prune_level: PruneLevel = PruneLevel.RULE1_2,
     stats_out: ComparisonStats | None = None,
 ) -> list[SpatialCluster]:
     """Every maximal set coverable by a circle of diameter d, size >= k.
@@ -341,8 +334,7 @@ def global_spatial_clusters(
     the union of local families is filtered for maximality, all as
     whole-array passes.  Skipping points with fewer than k candidates in
     reach is safe because a size-k cluster puts at least k points within d
-    of each of its members.  The prune level only chooses which
-    comparison count stats_out receives.
+    of each of its members.  stats_out receives the comparison counts.
     """
     if d <= 0:
         raise ValueError("distance threshold d must be positive")
@@ -357,10 +349,10 @@ def global_spatial_clusters(
         grid = build_grid(pts, d)
         nbhd = range_query_disk(grid, None, d)
         families = local_member_families(nbhd, d / 2, min_size=k)
-        out, stats = find_gsc(families, k=k, prune_level=prune_level, d=d)
+        out, stats = find_gsc(families, k=k, d=d)
     finally:
         if collecting:
             gc.enable()
     if stats_out is not None:
-        stats_out.comparisons = stats.comparisons
+        vars(stats_out).update(vars(stats))
     return out

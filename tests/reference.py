@@ -8,9 +8,9 @@ states them, and the tests compare the two:
   the circle through a reference point encloses one candidate (the exact
   sweep's windows, ``sweep_exact``);
 * ``center_rect`` and ``find_gsc``: the element-wise maximality filter over
-  a list of local clusters, with the reference-distance and
-  center-rectangle prunes, counting its subset comparisons (the count
-  ``gsc.find_gsc`` reports);
+  a list of local clusters, at one ``PruneLevel`` of the reference-distance
+  and center-rectangle prunes, counting its subset comparisons (the counts
+  ``gsc.find_gsc`` reports for every level at once);
 * ``local_approx_clusters``, ``check_global`` and ``sequential_gasc``: the
   square sweep one reference point at a time, with the label check on
   three extreme members (``approx.find_gasc``).
@@ -18,6 +18,7 @@ states them, and the tests compare the two:
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -25,10 +26,19 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from geosoc.approx import _check_extremes, _stab
-from geosoc.gsc import ComparisonStats, EmptyCluster, PruneLevel
+from geosoc.gsc import EmptyCluster
 from geosoc.model import DEFAULT_EPS, ClusterKind, GeoPoint, SpatialCluster, euclidean_distance
 from geosoc.spatial_index import build_grid, range_query_disk
 from geosoc.sweep_exact import TAU, TooFar
+
+
+class PruneLevel(enum.Enum):
+    """Which prunes the sequential filter applies: none, the
+    reference-distance prune, or that and the center-rectangle prune."""
+
+    NONE = "none"
+    RULE1 = "rule1"
+    RULE1_2 = "rule1_2"
 
 
 @dataclass(frozen=True)
@@ -86,8 +96,9 @@ def find_gsc(
     prune_level: PruneLevel = PruneLevel.NONE,
     d: float | None = None,
     points: Iterable[GeoPoint] | Mapping[int, GeoPoint] | None = None,
-) -> tuple[list[SpatialCluster], ComparisonStats]:
-    """Keep clusters of size >= k that are not contained in any other.
+) -> tuple[list[SpatialCluster], int]:
+    """Keep clusters of size >= k that are not contained in any other, and
+    count the subset comparisons made.
 
     The clusters are filtered one by one, larger sets first, each compared
     element-wise with the kept ones.  The output is identical for every
@@ -95,7 +106,6 @@ def find_gsc(
     pruning needs d and the point coordinates, from which rectangle
     pruning computes each cluster's center rectangle.
     """
-    stats = ComparisonStats()
     distinct: dict[tuple[int, ...], SpatialCluster] = {}
     for c in lscs:
         if len(c.members) < k:
@@ -167,9 +177,8 @@ def find_gsc(
             if use_rect:
                 accepted_rects.append(rect)
 
-    stats.comparisons = comparisons
     out = sorted(accepted_clusters, key=lambda c: c.members)
-    return out, stats
+    return out, comparisons
 
 
 def local_approx_clusters(

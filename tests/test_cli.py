@@ -134,36 +134,34 @@ def test_bench_grid_rows(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     lines = out.read_text().splitlines()
-    assert lines[0] == "algo,dataset,n,density,d,k,seconds,comparisons,clusters,status"
+    assert lines[0] == (
+        "algo,dataset,n,density,d,k,seconds,comparisons_unpruned,comparisons_rule1,comparisons,clusters,status"
+    )
     assert len(lines) == 1 + 4
     assert all(line.endswith("ok") for line in lines[1:])
     # comparison counts present for the exact algorithm only
     for line in lines[1:]:
-        cells = line.split(",")
-        if cells[0] == "exact-r12":
-            assert cells[7] != ""
+        counts = line.split(",")[7:10]
+        if line.startswith("exact-r12,"):
+            assert all(counts)
         else:
-            assert cells[7] == ""
+            assert counts == ["", "", ""]
 
 
 def test_bench_rule2_never_compares_more_than_rule1(tmp_path):
-    # the pruning experiment: the rules change how many subset
-    # comparisons the filter makes, never the clusters it keeps
+    # the pruning experiment: one row per cell holds the subset
+    # comparisons the filter would make with no rule, rule 1 and rules 1+2
     out = tmp_path / "bench.csv"
     res = run_cli(
-        "bench", "--algos", "exact,exact-r1,exact-r12", "--n", "300,600",
+        "bench", "--algos", "exact-r12", "--n", "300,600",
         "--d", 30, "--seed", 2, "--out", out,
     )
     assert res.returncode == 0, res.stderr
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    by_n = {}
+    assert [cells[2] for cells in rows] == ["300", "600"]
     for cells in rows:
-        by_n.setdefault(cells[2], {})[cells[0]] = (int(cells[7]), int(cells[8]))
-    assert sorted(by_n) == ["300", "600"]
-    for n, got in by_n.items():
-        (c0, k0), (c1, k1), (c12, k12) = got["exact"], got["exact-r1"], got["exact-r12"]
-        assert k0 == k1 == k12, n
-        assert c0 >= c1 >= c12, n
+        c0, c1, c12 = map(int, cells[7:10])
+        assert c0 >= c1 >= c12, cells[2]
 
 
 def test_bench_location_file_rows(tmp_path):
@@ -192,6 +190,12 @@ def test_bench_rejects_a_ratio_outside_the_unit_interval(tmp_path, ratio):
     assert not out.exists()
 
 
+def _option_id(value):
+    # an option's name, and a deleted value of --algo with it
+    name, _, arg = value.lstrip("-").partition("=")
+    return f"{name}-{arg}" if name == "algo" else name
+
+
 @pytest.mark.parametrize(
     "command, option",
     [
@@ -203,8 +207,10 @@ def test_bench_rejects_a_ratio_outside_the_unit_interval(tmp_path, ratio):
         ("detect", "--clique-budget=10"),
         ("search", "--clique-budget=10"),
         ("bench", "--clique-budget=10"),
+        *((command, f"--algo={algo}") for command in ("spatial", "detect", "search")
+          for algo in ("exact", "exact-r1")),
     ],
-    ids=lambda value: value.lstrip("-").split("=")[0],
+    ids=_option_id,
 )
 def test_deleted_option_is_rejected(tmp_path, dataset, command, option):
     loc, edg = dataset
@@ -218,6 +224,24 @@ def test_deleted_option_is_rejected(tmp_path, dataset, command, option):
     res = run_cli(command, *needed, option, "--out", out)
     assert res.returncode == 2
     assert option.split("=")[0] in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("timeout", ["-1", "0", "inf", "nan"])
+def test_bench_rejects_a_timeout_that_is_not_positive_and_finite(tmp_path, timeout):
+    out = tmp_path / "bench.csv"
+    res = run_cli("bench", "--n", 50, "--algos", "approx", "--d", 30, f"--timeout-s={timeout}", "--out", out)
+    assert res.returncode == 1
+    assert "timeout" in res.stderr
+    assert not out.exists()
+
+
+def test_bench_rejects_a_deleted_algorithm_label(tmp_path):
+    # exact and exact-r1 reported one count of the exact-r12 run
+    out = tmp_path / "bench.csv"
+    res = run_cli("bench", "--n", 50, "--algos", "exact-r1", "--d", 30, "--out", out)
+    assert res.returncode == 1
+    assert "'exact-r1'" in res.stderr
     assert not out.exists()
 
 
@@ -296,7 +320,7 @@ def test_bench_malformed_location_file_is_input_error(tmp_path):
     bad.write_text("0\tx\ty\n", encoding="utf-8")
     out = tmp_path / "bench.csv"
     res = run_cli(
-        "bench", "--locations", bad, "--algos", "approx,exact", "--ratios", "0.5,1",
+        "bench", "--locations", bad, "--algos", "approx,exact-r12", "--ratios", "0.5,1",
         "--d", "20,30", "--out", out,
     )
     assert res.returncode == 1
@@ -311,7 +335,7 @@ def test_bench_error_row_reports_its_cause(tmp_path):
     res = run_cli("bench", "--n", 50, "--k", 0, "--algos", "approx", "--d", 30, "--out", out)
     assert res.returncode == 1
     assert out.read_text().splitlines()[1].split(",")[2:] == [
-        "50", "0.008", "30", "0", "0.000000", "", "", "error",
+        "50", "0.008", "30", "0", "0.000000", "", "", "", "", "error",
     ]
     assert "Traceback" in res.stderr and "ValueError" in res.stderr
 
@@ -319,7 +343,7 @@ def test_bench_error_row_reports_its_cause(tmp_path):
 def test_bench_timeout_row(tmp_path):
     out = tmp_path / "bench.csv"
     res = run_cli(
-        "bench", "--algos", "exact", "--n", 30000, "--d", 30,
+        "bench", "--algos", "exact-r12", "--n", 30000, "--d", 30,
         "--timeout-s", 0.05, "--out", out,
     )
     assert res.returncode == 2
@@ -333,3 +357,21 @@ def test_validate_passes():
     assert res.returncode == 0, res.stdout + res.stderr
     assert "FAIL" not in res.stdout
     assert res.stdout.count("PASS") == 4
+
+
+@pytest.mark.parametrize("instances", [0, -1])
+def test_validate_rejects_fewer_than_one_instance(instances):
+    res = run_cli("validate", f"--instances={instances}", "--n", 50)
+    assert res.returncode == 1
+    assert "--instances" in res.stderr
+    assert "PASS" not in res.stdout
+
+
+def test_gen_rejects_negative_edge_counts(tmp_path):
+    loc, edg = tmp_path / "pts.tsv", tmp_path / "edges.tsv"
+    res = run_cli(
+        "gen", "--n", 50, "--out", loc, "--edges-out", edg, "--m-nearest=-2", "--extra-edges=-5",
+    )
+    assert res.returncode == 1
+    assert "m_nearest" in res.stderr
+    assert not loc.exists() and not edg.exists()

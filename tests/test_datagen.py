@@ -91,3 +91,10 @@ def test_attach_social_edges_shape_and_determinism():
 def test_attach_social_edges_tiny_inputs():
     pts = generate(GenSpec(n=1, density=1.0, seed=0))
     assert attach_social_edges(pts, m_nearest=3, n_random=5, seed=0) == []
+
+
+@pytest.mark.parametrize("m_nearest, n_random", [(-1, 0), (3, -1)])
+def test_attach_social_edges_rejects_negative_counts(m_nearest, n_random):
+    pts = generate(GenSpec(n=10, density=0.01, seed=0))
+    with pytest.raises(ValueError, match="non-negative"):
+        attach_social_edges(pts, m_nearest=m_nearest, n_random=n_random)

@@ -93,4 +93,5 @@ def test_bench_pairs_prints_its_usage():
     assert "geosoc_bench_seed<S>" in proc.stdout
     # either mode stops when the two sides' outputs differ
     assert "whose member digest differs" in proc.stdout
-    assert "``comparisons`` or ``clusters``" in proc.stdout
+    assert "``comparisons_unpruned``" in proc.stdout
+    assert "``comparisons_rule1``, ``comparisons`` or ``clusters``" in proc.stdout
