@@ -8,7 +8,6 @@ never aborts the sweep.
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
 import time
 import traceback
@@ -26,6 +25,10 @@ from .model import GeoPoint, Params
 CSV_HEADER = (
     "algo,dataset,n,density,d,k,seconds,comparisons_unpruned,comparisons_rule1,comparisons,clusters,status"
 )
+
+#: the longest wait ``Connection.poll`` takes: it waits in whole
+#: milliseconds, passed to poll(2) as a C int
+MAX_TIMEOUT_S = (2**31 - 1) / 1000
 
 
 @dataclass(frozen=True)
@@ -95,8 +98,8 @@ class BenchConfig:
         for ratio in self.ratios:
             if not 0.0 < ratio <= 1.0:
                 raise ValueError(f"sample ratio {ratio:g} is outside (0, 1]")
-        if not 0.0 < self.timeout_s < math.inf:
-            raise ValueError(f"timeout {self.timeout_s:g} s is not positive and finite")
+        if not 0.0 < self.timeout_s <= MAX_TIMEOUT_S:
+            raise ValueError(f"timeout {self.timeout_s} s is not in (0, {MAX_TIMEOUT_S}]")
 
 
 def _sample_ratio(points: list[GeoPoint], ratio: float, seed: int) -> list[GeoPoint]:

@@ -14,6 +14,7 @@ from .baseline import clique_clusters
 from .gsc import ComparisonStats, global_spatial_clusters
 from .model import Community, GeoPoint, GeoSocialNetwork, Params, SocialKind, SpatialCluster
 from .social import (
+    components,
     induced_subgraph,
     k_core_communities,
     k_core_vertices,
@@ -125,10 +126,14 @@ def find_global_mcc(local: Iterable[Community]) -> list[Community]:
 def search_mccs(g: GeoSocialNetwork, q: int, cfg: DetectionConfig) -> list[Community]:
     """Communities containing the query user, within distance d of them.
 
-    Detection runs on the closed ball of radius d around q, read from a
-    grid of cell size d that the network keeps from the last search; its
-    result is an antichain sorted by members, and so is the part of it
-    that contains q.
+    The ball of radius d around q is read from a grid of cell size d that
+    the network keeps from the last search.  A community holding q is
+    connected and lies in the ball's k-core ((k-1)-core for a truss), so
+    in q's component of that core: detection runs on that component only,
+    and not at all when q is outside the core.  Every spatial mode keeps
+    the maximal sets of a hereditary shape, so a community holding q is
+    maximal in the component exactly when it is in the ball.  The result
+    is an antichain sorted by members.
     """
     params = cfg.params
     qp = g.point(q)
@@ -136,6 +141,10 @@ def search_mccs(g: GeoSocialNetwork, q: int, cfg: DetectionConfig) -> list[Commu
     if grid is None:
         g.grids.clear()
         grid = g.grids[params.d] = build_grid(g.points, params.d)
-    ball = range_query_disk(grid, qp, params.d)
-    mccs = detect_mccs(g.subnetwork(ball), cfg)
+    ball = g.subnetwork(range_query_disk(grid, qp, params.d))
+    core = k_core_vertices(ball, params.k if params.social_kind is SocialKind.CORE else params.k - 1)
+    if q not in core:
+        return []
+    component = next(c for c in components(core, ball.adjacency) if q in c)
+    mccs = detect_mccs(ball.subnetwork(component), cfg)
     return [c for c in mccs if q in c.members]

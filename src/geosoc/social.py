@@ -53,8 +53,9 @@ def k_core_vertices(g: _HasAdjacency, k: int) -> set[int]:
     return {v for v, dv in degree.items() if dv >= k}
 
 
-def _components(vertices: Iterable[int], adjacency: dict[int, Iterable[int]]) -> list[list[int]]:
-    """Connected components of the vertices, each sorted and duplicate-free."""
+def components(vertices: Iterable[int], adjacency: dict[int, Iterable[int]]) -> list[list[int]]:
+    """Connected components of the subgraph the vertices induce, each sorted
+    and duplicate-free."""
     todo = set(vertices)
     comps: list[list[int]] = []
     for start in sorted(todo):
@@ -78,8 +79,8 @@ def k_core_communities(g: _HasAdjacency, k: int) -> list[Community]:
     """Connected components of the maximal subgraph with min degree >= k."""
     if k < 1:
         raise ValueError("core parameter k must be >= 1")
-    # _components never leaves the vertex set it is given
-    comps = _components(k_core_vertices(g, k), g.adjacency)
+    # components never leaves the vertex set it is given
+    comps = components(k_core_vertices(g, k), g.adjacency)
     return [Community(tuple(c), k, SocialKind.CORE) for c in comps]
 
 
@@ -201,5 +202,5 @@ def k_truss_communities(g: _HasAdjacency, k: int) -> list[Community]:
     for u, v in k_truss_edges(g, k):
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    comps = _components(adj.keys(), adj)
+    comps = components(adj.keys(), adj)
     return [Community(tuple(c), k, SocialKind.TRUSS) for c in comps]

@@ -236,6 +236,22 @@ def test_bench_rejects_a_timeout_that_is_not_positive_and_finite(tmp_path, timeo
     assert not out.exists()
 
 
+@pytest.mark.parametrize("timeout", ["2147483.648", "1e10"])
+def test_bench_rejects_a_timeout_longer_than_a_cell_wait_can_take(tmp_path, timeout):
+    # a cell's wait takes whole milliseconds as a C int: such a timeout
+    # passed the positivity check and crashed the sweep once its first
+    # child had started
+    out = tmp_path / "bench.csv"
+    res = run_cli("bench", "--n", 50, "--algos", "approx", "--d", 30, f"--timeout-s={timeout}", "--out", out)
+    assert res.returncode == 1
+    assert f"timeout {float(timeout)} s is not in (0, 2147483.647]" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+    # the longest wait itself is accepted
+    longest = bench.BenchConfig(("approx",), (30.0,), (50,), timeout_s=2147483.647)
+    assert longest.timeout_s == bench.MAX_TIMEOUT_S
+
+
 def test_bench_rejects_a_deleted_algorithm_label(tmp_path):
     # exact and exact-r1 reported one count of the exact-r12 run
     out = tmp_path / "bench.csv"

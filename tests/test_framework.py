@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geosoc import framework
 from geosoc.baseline import min_enclosing_circle
 from geosoc.framework import (
     DetectionConfig,
@@ -208,6 +209,66 @@ def test_search_far_from_origin():
         assert at_d in members and in_slack in members and beyond_d not in members
         for v in [q] + [p.id for p in net.points[::6]]:
             assert search_mccs(net, v, c) == _detect_on_ball(net, v, c), (seed, v)
+
+
+SEARCH_SOCIAL = ((SocialKind.CORE, 2), (SocialKind.CORE, 3), (SocialKind.TRUSS, 3), (SocialKind.TRUSS, 4))
+
+
+def _assert_search_is_detection_on_the_ball(net, d):
+    for algo in SpatialAlgo:
+        for social, k in SEARCH_SOCIAL:
+            c = cfg(d=d, k=k, algo=algo, social=social)
+            for q in net.ids:
+                assert search_mccs(net, q, c) == _detect_on_ball(net, q, c), (algo, social, k, q)
+
+
+def test_search_is_detection_on_the_ball_on_random_networks():
+    # search detects on q's component of the ball's core only; every query
+    # user of every mode must see what detection on the whole ball gives.
+    # With few random friends a ball's core often splits, and many users
+    # have communities in a component other than the first
+    for seed, m_nearest, n_random in ((60, 2, 0), (61, 3, 5), (62, 3, 5)):
+        net = random_network(seed, 60, m_nearest=m_nearest, n_random=n_random)
+        _assert_search_is_detection_on_the_ball(net, 25.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([2.0, 3.0, 5.0]),
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=14),
+    st.floats(0.2, 0.9),
+    st.randoms(use_true_random=False),
+)
+def test_search_is_detection_on_the_ball_on_lattices(d, cells, p_edge, rnd):
+    # integer points: many pairs sit exactly d apart (3-4-5 triangles at
+    # d = 5), and repeated cells put users at one spot
+    pts = [GeoPoint(i, float(x), float(y)) for i, (x, y) in enumerate(cells)]
+    edges = [(u, v) for u in range(len(pts)) for v in range(u + 1, len(pts)) if rnd.random() < p_edge]
+    _assert_search_is_detection_on_the_ball(build_network(pts, edges), d)
+
+
+@pytest.mark.parametrize("social, k", [(SocialKind.CORE, 3), (SocialKind.TRUSS, 4)])
+def test_search_outside_the_ball_core_skips_the_spatial_stage(monkeypatch, social, k):
+    # a 4-clique and one friend of a member, all within d of each other:
+    # the friend's ball holds them all, but with one friend it is outside
+    # the ball's 3-core, so its search ends before any spatial clustering
+    net = build_network(
+        [GeoPoint(i, float(i), 0.0) for i in range(5)],
+        [(u, v) for u in range(4) for v in range(u + 1, 4)] + [(3, 4)],
+    )
+    calls = []
+    stage = framework.global_spatial_clusters
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return stage(*args, **kwargs)
+
+    monkeypatch.setattr(framework, "global_spatial_clusters", counted)
+    c = cfg(d=10.0, k=k, social=social)
+    assert search_mccs(net, 4, c) == []
+    assert calls == []
+    assert families(search_mccs(net, 0, c)) == {(0, 1, 2, 3)}
+    assert len(calls) == 1
 
 
 def test_matches_brute_force_on_random_instances():

@@ -48,10 +48,12 @@ def test_tracer_hooks_fire_on_detect_and_search(tmp_path):
         "# edges and every workload finds communities, so each engine has\n"
         "# clusters to peel\n"
         "edges = attach_social_edges(pts, m_nearest=5, n_random=75, seed=3)\n"
-        "# the search asks about a far-off clique of five: its ball is its own\n"
-        "# 3-core, so only search_mccs itself builds a subnetwork\n"
+        "# the search asks about a far-off clique of five, whose ball is its\n"
+        "# own 3-core, and about a friend of one member, who is outside the\n"
+        "# 3-core of a ball holding the clique\n"
         "pts += [GeoPoint(300 + i, -500 + 5 * math.cos(i), 5 * math.sin(i)) for i in range(5)]\n"
-        "edges += [(300 + i, 300 + j) for i in range(5) for j in range(i + 1, 5)]\n"
+        "pts.append(GeoPoint(305, -490, 0))\n"
+        "edges += [(300 + i, 300 + j) for i in range(5) for j in range(i + 1, 5)] + [(300, 305)]\n"
         "inp = SimpleNamespace(locations=tmp / 'locations.tsv', edges=tmp / 'edges.tsv')\n"
         "io.write_locations(pts, inp.locations)\n"
         "io.write_edges(edges, inp.edges)\n"
@@ -61,13 +63,17 @@ def test_tracer_hooks_fire_on_detect_and_search(tmp_path):
         "    with tracer.installed():\n"
         "        g = workloads._ingest(inp)\n"
         "        if wl.search:\n"
+        "            # 305's search returns before detection, so every expected\n"
+        "            # span over the two searches comes from 300's\n"
+        "            assert framework.search_mccs(g, 305, wl.config()) == []\n"
         "            assert len(framework.search_mccs(g, 300, wl.config())) == 1\n"
         "        else:\n"
         "            workloads._detect_once(g, wl.config(), tmp / 'communities.jsonl')\n"
         "        if name == 'detect-exact':\n"
         "            baseline.clique_clusters(g.points, workloads.D)\n"
         "    out[name] = {'missing': sorted(workloads._expected_spans(wl) - set(tracer.names)),\n"
-        "                 'counts': dict(tracer.counts)}\n"
+        "                 'counts': dict(tracer.counts),\n"
+        "                 'detects': tracer.names.count('framework.detect_mccs')}\n"
         "print(json.dumps(out))\n"
     )
     out = json.loads(_run(code, tmp_path))
@@ -75,6 +81,7 @@ def test_tracer_hooks_fire_on_detect_and_search(tmp_path):
     for name, got in out.items():
         assert got["missing"] == [], name
     assert out["detect-exact"]["counts"]["gsc.comparisons"] > 0
+    assert out["search-exact"]["detects"] == 1
 
 
 def test_bench_pairs_prints_its_usage():
